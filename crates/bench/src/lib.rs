@@ -1,21 +1,14 @@
-//! Benchmark harness crate for the CryoWire reproduction.
+//! The shared bench-report plumbing of the CryoWire reproduction.
 //!
-//! Two things live here:
-//!
-//! * **The shared bench-report plumbing** (this library): every
-//!   `BENCH_*.json` artifact written by the sweep binary's `bench-*`
-//!   modes uses one schema — a `benchmark` discriminator, mode-specific
-//!   scalar metadata, the `min_speedup` / `geomean_speedup` /
-//!   `overall_speedup` summary, and per-point rows — assembled by
-//!   [`bench_value`], with [`speedup_stats`] computing the summary,
-//!   [`emit`] writing the document, and [`baseline_gate`] /
-//!   [`claim_gate`] applying the CI regression checks. The library
-//!   depends on `serde_json` only, so the `cryowire` emitters and the
-//!   sweep binary can share it without a dependency cycle.
-//! * **The Criterion bench targets** under `benches/`: every paper
-//!   table and figure regenerated against the full simulator stack (see
-//!   DESIGN.md's experiment index). Those pull `cryowire` itself as a
-//!   dev-dependency.
+//! Every `BENCH_*.json` artifact written by the sweep binary's `bench-*`
+//! modes uses one schema — a `benchmark` discriminator, mode-specific
+//! scalar metadata, the `min_speedup` / `geomean_speedup` /
+//! `overall_speedup` summary, and per-point rows — assembled by
+//! [`bench_value`], with [`speedup_stats`] computing the summary,
+//! [`emit`] writing the document, and [`baseline_gate`] /
+//! [`claim_gate`] applying the CI regression checks. The crate depends
+//! on `serde_json` only, so the `cryowire` emitters and the sweep binary
+//! can share it without a dependency cycle.
 //!
 //! The gating figure of every report is `overall_speedup` — total
 //! reference (or scalar) wall time over total optimized wall time, i.e.

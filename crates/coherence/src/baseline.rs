@@ -15,7 +15,7 @@
 //!    geometries, lane batches, and fault plans.
 //! 2. **Honest speedup denominator** — `bench-coherence` times these
 //!    (the real former code, not a strawman) against the optimized
-//!    batched path for the engine-throughput claim.
+//!    shared-scratch lane path for the engine-throughput claim.
 //!
 //! Nothing here is called from release builds of the simulator proper.
 

@@ -15,7 +15,7 @@
 //! trace's interned line index, with sharers as a `u128` bitmask (the
 //! engine caps at 128 cores); the fault-free routed-latency table is
 //! built once per [`CoherenceSystem`](crate::CoherenceSystem) and
-//! shared across runs and batch lanes, so a fault-free run pays zero
+//! shared across runs and lanes, so a fault-free run pays zero
 //! path computations — only fault epochs rebuild the table, in place,
 //! into the scratch's cached epoch buffer.
 //!

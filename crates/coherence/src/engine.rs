@@ -126,7 +126,7 @@ pub struct CoherenceScratch {
     pub(crate) caches: Vec<PrivateCache>,
     pub(crate) geometry: Option<CacheGeometry>,
     /// Parked cache sets from geometries this scratch ran earlier, so a
-    /// lane batch cycling N geometries allocates each set once and then
+    /// lane sequence cycling N geometries allocates each set once and then
     /// swaps (generation-reset, O(1)) instead of rebuilding ~MBs of
     /// entry arrays per lane.
     cache_pool: Vec<(CacheGeometry, Vec<PrivateCache>)>,
@@ -193,7 +193,7 @@ impl CoherenceScratch {
             }
         } else {
             // Park the outgoing set and revive a pooled one when this
-            // geometry ran before (the lane-batch fast path).
+            // geometry ran before (the multi-lane fast path).
             if let Some(old_geometry) = self.geometry.take() {
                 let old = std::mem::take(&mut self.caches);
                 if !old.is_empty() {
@@ -284,7 +284,7 @@ pub enum SystemFabric {
 ///
 /// A directory system computes its fault-free [`DirectoryTiming`] table
 /// once at construction, so every fault-free run (and every lane of a
-/// [`CoherenceSystem::run_batch_with`] batch) shares one amortized
+/// [`CoherenceSystem::run_lanes`] call) shares one amortized
 /// routed-path table instead of recomputing `nodes²` paths per run.
 #[derive(Debug)]
 pub struct CoherenceSystem {
@@ -406,18 +406,17 @@ impl CoherenceSystem {
         self.run_lane(&self.config, trace, schedule, scratch)
     }
 
-    /// Runs `trace` once per lane config in lockstep over this system's
-    /// fabric, reusing one scratch: the interned trace, the cached
-    /// routed-path table, and every arena buffer are shared across
-    /// lanes, so N grid points that differ only in engine config pay
-    /// the trace decode and directory pricing once. Outcomes come back
-    /// in lane order and are bit-identical to running each lane alone.
-    ///
-    /// Faulted batches (a `schedule` is present) take the sequential
-    /// per-lane path — each lane re-derives its fault epochs exactly as
-    /// a scalar run would (the PR-7 NoC batching contract).
+    /// Runs `trace` once per lane config over this system's fabric, one
+    /// lane after another through the same `scratch` (a plain sequential
+    /// loop of [`CoherenceSystem::run_with`]-equivalent runs). What the
+    /// lanes share is the scratch — the interned trace, the cached
+    /// routed-path table, the arena buffers and the per-geometry cache
+    /// pool — so N grid points that differ only in engine config pay the
+    /// trace decode and directory pricing once. Outcomes come back in lane order and are bit-identical to
+    /// running each lane alone; each lane under a `schedule` re-derives
+    /// its fault epochs exactly as a lone run would.
     #[must_use]
-    pub fn run_batch_with(
+    pub fn run_lanes(
         &self,
         trace: &AccessTrace,
         lanes: &[CoherenceConfig],

@@ -345,9 +345,10 @@ proptest! {
         prop_assert_eq!(&opt, &base, "directory diverged from the baseline");
     }
 
-    /// Lockstep lane batches are bit-identical to running each lane
-    /// scalar with a fresh scratch — any lane mix of protocols and
-    /// geometries, on both fabrics, with and without a fault schedule.
+    /// `run_lanes` (lanes run one after another through one shared
+    /// scratch) is bit-identical to running each lane alone with a
+    /// fresh scratch — any lane mix of protocols and geometries, on
+    /// both fabrics, with and without a fault schedule.
     #[test]
     fn batched_lanes_are_bit_identical_to_scalar_runs(
         raw in collection::vec((any::<u8>(), any::<u8>(), any::<bool>()), 1..200),
@@ -378,7 +379,7 @@ proptest! {
         )
         .expect("snooping system builds");
         let mut scratch = CoherenceScratch::new();
-        let batch = system.run_batch_with(&trace, &lanes, schedule.as_ref(), &mut scratch);
+        let batch = system.run_lanes(&trace, &lanes, schedule.as_ref(), &mut scratch);
         prop_assert_eq!(batch.len(), lanes.len());
         for (i, cfg) in lanes.iter().enumerate() {
             let lane_system = CoherenceSystem::snooping(
@@ -404,7 +405,7 @@ proptest! {
             dir_lanes[0],
         )
         .expect("directory system builds");
-        let batch = dir_system.run_batch_with(&trace, &dir_lanes, schedule.as_ref(), &mut scratch);
+        let batch = dir_system.run_lanes(&trace, &dir_lanes, schedule.as_ref(), &mut scratch);
         for (i, cfg) in dir_lanes.iter().enumerate() {
             let lane_system = CoherenceSystem::directory(
                 RouterNetwork::mesh64(RouterClass::OneCycle, t77),

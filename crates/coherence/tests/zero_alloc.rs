@@ -2,7 +2,7 @@
 //! nothing in steady state: after one warm-up run populates the scratch
 //! (caches, arenas, arbiters, completion heap), further runs of the
 //! snooping engine AND the directory engine over the same shapes — and
-//! a whole batched lane sweep — must perform **zero** heap allocations.
+//! a whole shared-scratch `run_lanes` sequence — must perform **zero** heap allocations.
 //! Tests build in debug, so this also proves the per-grant incremental
 //! invariant `debug_assert!`s are allocation-free (the old exhaustive
 //! checker rebuilt a hash map per access and could never pass here).
@@ -132,8 +132,8 @@ fn steady_state_hot_loops_allocate_nothing() {
         "directory scratch reuse changed a result"
     );
 
-    // Batched lockstep lanes: one trace replayed under N configs through
-    // one scratch. Same-geometry lanes reset the caches in place (a
+    // `run_lanes`: one trace run under N configs, one after another,
+    // through one scratch. Same-geometry lanes reset the caches in place (a
     // geometry change rebuilds them — that allocation is per-shape, not
     // steady-state), so after the warm batch a steady batch's only
     // allocation is the returned lane vector itself.
@@ -142,10 +142,10 @@ fn steady_state_hot_loops_allocate_nothing() {
         config(Protocol::Dragon),
         config(Protocol::Mesi),
     ];
-    let warm_lanes = snoop.run_batch_with(&trace, &lanes, None, &mut scratch);
+    let warm_lanes = snoop.run_lanes(&trace, &lanes, None, &mut scratch);
 
     let before = ALLOCATIONS.load(Ordering::SeqCst);
-    let steady_lanes = snoop.run_batch_with(&trace, &lanes, None, &mut scratch);
+    let steady_lanes = snoop.run_lanes(&trace, &lanes, None, &mut scratch);
     let after = ALLOCATIONS.load(Ordering::SeqCst);
 
     assert_eq!(

@@ -48,17 +48,12 @@
 //!   (`--cycles` overrides the trace length in instructions).
 //! * `bench-coherence` runs the cycle-level coherence engines over a
 //!   protocol/fabric × workload grid of geometry lanes, timing the
-//!   batched flat-arena engines against the retained hash-map reference
+//!   flat-arena engines against the retained hash-map reference
 //!   with per-lane bit-identity asserted, replays lane-0 commit logs
 //!   through the hop-count references, and gates `--baseline` on the
 //!   engine speedup; the simulated directory/snoop miss-latency ratio
 //!   (machine-independent) carries a claim-inversion check (ratio ≤ 1
 //!   fails outright).
-//! * `bench-batch` times the batched lockstep engines (whole config or
-//!   rate grids stepped through one structure-of-arrays loop) against
-//!   per-point scalar execution of the same grids, asserting per-lane
-//!   bit-identity and the harness's scalar-vs-batched canonical-JSON
-//!   identity while measuring.
 //!
 //! `--list` prints every registered sweep with a one-line description.
 //!
@@ -116,7 +111,7 @@ const SWEEPS: &[SweepEntry] = &[
     },
     SweepEntry {
         name: "coherence",
-        what: "coherence engine x cache-geometry grid, lockstep-batched per engine",
+        what: "coherence engine x cache-geometry grid, one batch job per engine",
         kind: SweepKind::Grid(grid_coherence),
     },
     SweepEntry {
@@ -133,11 +128,6 @@ const SWEEPS: &[SweepEntry] = &[
         name: "bench-coherence",
         what: "cycle-level coherence engines over protocol x workload; writes BENCH_coherence.json",
         kind: SweepKind::Bench(run_bench_coherence),
-    },
-    SweepEntry {
-        name: "bench-batch",
-        what: "times batched lockstep grids vs per-point scalar runs; writes BENCH_batch.json",
-        kind: SweepKind::Bench(run_bench_batch),
     },
 ];
 
@@ -239,7 +229,7 @@ fn parse_args() -> Args {
             "--help" | "-h" => {
                 println!(
                     "usage: sweep [--sweep depth|fig27|fig21|degraded|coherence|bench-noc|bench-core|\n\
-                     \x20                     bench-coherence|bench-batch] [--list]\n\
+                     \x20                     bench-coherence] [--list]\n\
                      \x20            [--threads N] [--out FILE] [--cache-dir DIR] [--temps N]\n\
                      \x20            [--max-split K] [--full] [--fault-seed N] [--inject-panic]\n\
                      \x20            [--inject-flaky] [--inject-poison] [--inject-wedge]\n\
@@ -273,7 +263,7 @@ fn parse_args() -> Args {
                      trace length in instructions).\n\
                      bench-coherence: runs the cycle-level coherence engines (MESI\n\
                      snooping on the CryoBus, MESI directory on the mesh, Dragon)\n\
-                     over workload-calibrated sharing traces, timing the batched\n\
+                     over workload-calibrated sharing traces, timing the\n\
                      flat-arena engines vs the hash-map reference per geometry\n\
                      grid with bit-identity asserted, cross-checks commit logs\n\
                      against the hop-count references, and writes\n\
@@ -281,12 +271,6 @@ fn parse_args() -> Args {
                      (--baseline gates it) and the barrier-heavy directory/snoop\n\
                      miss-latency ratio carries the claim-inversion check\n\
                      (--cycles overrides accesses per core).\n\
-                     bench-batch: times the batched lockstep engines (whole config\n\
-                     or rate grids through one structure-of-arrays loop) vs\n\
-                     per-point scalar execution, asserts per-lane bit-identity and\n\
-                     the harness canonical-JSON identity, and writes\n\
-                     BENCH_batch.json (--cycles/--warmup set the NoC window,\n\
-                     --baseline gates identically).\n\
                      exit codes: 0 ok, 2 partial point failures, 1 fatal"
                 );
                 std::process::exit(0);
@@ -391,20 +375,9 @@ fn grid_coherence(args: &Args, opts: SweepOptions) -> RunArtifact {
 // ------------------------------------------------------- bench dispatch
 
 /// The shared tail of every bench mode: emit the document, apply the
-/// optional claim-inversion check and the `--baseline` gate, exit 0.
-/// Never returns.
-fn finish_bench(
-    args: &Args,
-    mode: &str,
-    noun: &str,
-    json: &Value,
-    overall: f64,
-    claim: Option<&str>,
-) -> ! {
+/// `--baseline` gate, exit 0. Never returns.
+fn finish_bench(args: &Args, mode: &str, noun: &str, json: &Value, overall: f64) -> ! {
     cryowire_bench::emit(mode, json, args.out.as_deref()).unwrap_or_else(|e| die(&e));
-    if let Some(claim) = claim {
-        cryowire_bench::claim_gate(mode, claim, overall).unwrap_or_else(|e| die(&e));
-    }
     cryowire_bench::baseline_gate(mode, noun, overall, args.baseline.as_deref())
         .unwrap_or_else(|e| die(&e));
     std::process::exit(0);
@@ -447,14 +420,7 @@ fn run_bench_noc(args: &Args) -> ! {
         result.warmup
     );
     let json = experiments::bench_noc_json(&result);
-    finish_bench(
-        args,
-        "bench-noc",
-        "speedup",
-        &json,
-        result.overall_speedup,
-        None,
-    )
+    finish_bench(args, "bench-noc", "speedup", &json, result.overall_speedup)
 }
 
 /// Runs the `bench-core` throughput benchmark. Never returns.
@@ -491,14 +457,7 @@ fn run_bench_core(args: &Args) -> ! {
         result.seed
     );
     let json = experiments::bench_core_json(&result);
-    finish_bench(
-        args,
-        "bench-core",
-        "speedup",
-        &json,
-        result.overall_speedup,
-        None,
-    )
+    finish_bench(args, "bench-core", "speedup", &json, result.overall_speedup)
 }
 
 /// Runs the `bench-coherence` benchmark. Never returns.
@@ -552,52 +511,6 @@ fn run_bench_coherence(args: &Args) -> ! {
         "speedup",
         &json,
         result.overall_speedup,
-        None,
-    )
-}
-
-/// Runs the `bench-batch` benchmark. Never returns.
-fn run_bench_batch(args: &Args) -> ! {
-    let cycles = args
-        .cycles
-        .unwrap_or(if args.smoke { 8_000 } else { 30_000 });
-    let config = SimConfig {
-        cycles,
-        warmup: args.warmup.unwrap_or(cycles / 4),
-        ..SimConfig::default()
-    };
-    // Enough instructions that the decoded trace leaves the fastest
-    // caches and the decode-once amortization is measured in its
-    // steady regime; the smoke grid keeps CI fast.
-    let insts = if args.smoke { 1_500_000 } else { 6_000_000 };
-    let result = experiments::bench_batch(insts, 7, config, args.smoke)
-        .unwrap_or_else(|e| die(&format!("bench-batch: {e}")));
-    for p in &result.points {
-        eprintln!(
-            "bench-batch: {:<24} {:>2} lanes  scalar {:>8.2} ms  batched {:>8.2} ms  \
-             speedup {:.2}x",
-            p.name, p.lanes, p.wall_ms_scalar, p.wall_ms_batched, p.speedup
-        );
-    }
-    eprintln!(
-        "bench-batch: overall speedup {:.2}x (min {:.2}x, geomean {:.2}x) over {} grids \
-         ({} instructions, {} cycles, {} warmup)",
-        result.overall_speedup,
-        result.min_speedup,
-        result.geomean_speedup,
-        result.points.len(),
-        result.insts,
-        result.cycles,
-        result.warmup
-    );
-    let json = experiments::bench_batch_json(&result);
-    finish_bench(
-        args,
-        "bench-batch",
-        "speedup",
-        &json,
-        result.overall_speedup,
-        None,
     )
 }
 

@@ -10,9 +10,9 @@
 //!
 //! Two figures come out of each point:
 //!
-//! * **Engine speedup** (the gating figure): the flat-arena batched
-//!   engine — one warm [`CoherenceScratch`], one lockstep
-//!   [`CoherenceSystem::run_batch_with`] pass over the geometry lanes,
+//! * **Engine speedup** (the gating figure): the flat-arena engine —
+//!   one warm [`CoherenceScratch`], one [`CoherenceSystem::run_lanes`]
+//!   call running the geometry lanes one after another through it,
 //!   fault-free path tables amortized across the grid — timed against
 //!   the retained hash-map reference engine
 //!   ([`cryowire_coherence::baseline`]) run the way the old scalar path
@@ -147,7 +147,7 @@ pub struct BenchCoherencePoint {
     pub workload: String,
     /// Sharing pattern the workload mapped to.
     pub pattern: String,
-    /// Geometry lanes batched per pass.
+    /// Geometry lanes run per pass.
     pub lanes: usize,
     /// Fabric clock the simulated cycles are priced at, GHz.
     pub clock_ghz: f64,
@@ -161,7 +161,7 @@ pub struct BenchCoherencePoint {
     /// Coherence traffic on lane 0: bus transactions (snooping) or
     /// network messages (directory).
     pub fabric_ops: u64,
-    /// Best-of-reps wall time of the batched flat-arena pass, ms.
+    /// Best-of-reps wall time of the shared-scratch flat-arena pass, ms.
     pub wall_ms_optimized: f64,
     /// Best-of-reps wall time of the per-lane reference pass, ms.
     pub wall_ms_reference: f64,
@@ -337,7 +337,7 @@ pub(crate) fn outcome_value(out: &RunOutcome) -> Value {
 
 /// Asserts the batching contract at the harness layer: a sweep over the
 /// engine × geometry grid evaluated through [`Sweep::run_batched`] —
-/// points grouped into one lockstep batch per engine by the shared
+/// points grouped into one batch job per engine by the shared
 /// trace + fabric content key — produces the byte-identical canonical
 /// artifact of the scalar [`Sweep::run`], at one worker and at several.
 fn assert_harness_identity(accesses_per_core: usize) {
@@ -371,8 +371,8 @@ fn assert_harness_identity(accesses_per_core: usize) {
             .eval_tag("bench-coherence/identity/v1")
             .threads(threads)
             // The batching key: every point of an engine shares the
-            // trace and the fabric, so the lockstep engine can replay
-            // the trace once for all of its geometry lanes.
+            // trace and the fabric, so one `run_lanes` call decodes the
+            // trace once for all of its geometry lanes.
             .run_batched(
                 |point| point.str("engine").to_string(),
                 |key, batch| {
@@ -386,9 +386,9 @@ fn assert_harness_identity(accesses_per_core: usize) {
                     let (system, _) = build_system(kind, lanes[0].geometry);
                     let mut scratch = CoherenceScratch::new();
                     system
-                        .run_batch_with(&trace, &lanes, None, &mut scratch)
+                        .run_lanes(&trace, &lanes, None, &mut scratch)
                         .iter()
-                        .map(|r| outcome_value(r.as_ref().expect("clean lane completes")))
+                        .map(|r| Ok(outcome_value(r.as_ref().expect("clean lane completes"))))
                         .collect()
                 },
             );
@@ -402,12 +402,12 @@ fn assert_harness_identity(accesses_per_core: usize) {
 
 /// Runs the benchmark over `grid`, one point at a time — timing is the
 /// product here, and concurrent workers contending for cores would
-/// contaminate both passes' wall clocks. Each point times the batched
-/// flat-arena pass against the per-lane reference pass over its
-/// geometry lanes,
-/// asserting full-outcome bit-identity per lane, then replays lane 0's
-/// commit log through the hop-count references; the untimed
-/// scalar-vs-batched harness identity check runs first.
+/// contaminate both passes' wall clocks. Each point times the
+/// shared-scratch flat-arena pass against the per-lane reference pass
+/// over its geometry lanes, asserting full-outcome bit-identity per
+/// lane, then replays lane 0's commit log through the hop-count
+/// references; the untimed scalar-vs-batched harness identity check
+/// runs first.
 ///
 /// # Panics
 ///
@@ -438,13 +438,13 @@ pub fn bench_coherence(
             let mut scratch = CoherenceScratch::new();
             // Warm the scratch outside the timed region: arenas, caches,
             // arbiters, and the completion heap reach steady-state shape.
-            let _ = system.run_batch_with(&trace, &lanes, None, &mut scratch);
+            let _ = system.run_lanes(&trace, &lanes, None, &mut scratch);
 
             let mut wall_opt = f64::INFINITY;
             let mut optimized = Vec::new();
             for _ in 0..TIMING_REPS {
                 let t0 = Instant::now();
-                let outs = system.run_batch_with(&trace, &lanes, None, &mut scratch);
+                let outs = system.run_lanes(&trace, &lanes, None, &mut scratch);
                 wall_opt = wall_opt.min(t0.elapsed().as_secs_f64());
                 optimized = outs
                     .into_iter()

@@ -7,7 +7,6 @@
 //! [`Fidelity`] knob; analytic ones are exact either way.
 
 mod ablations;
-mod bench_batch;
 mod bench_coherence;
 mod bench_core;
 mod bench_noc;
@@ -28,10 +27,6 @@ pub use ablations::{
     ablation_wire_thickness, AluCountAblation, BusTopologyAblation, CoreEngineAblation,
     DepthSweepAblation, EngineComparisonAblation, FfOverheadAblation, InterleavingAblation,
     WireThicknessAblation,
-};
-pub use bench_batch::{
-    bench_batch, bench_batch_json, bench_batch_rates, ipc_validation_grid, BenchBatchPoint,
-    BenchBatchResult,
 };
 pub use bench_coherence::{
     bench_coherence, bench_coherence_geometries, bench_coherence_grid, bench_coherence_json,

@@ -391,8 +391,7 @@ pub const COHERENCE_SWEEP_ACCESSES: usize = 200;
 /// The coherence grid: engine × private-cache geometry, every point
 /// replaying the same barrier-heavy (streamcluster) trace. Points of
 /// one engine share the trace *and* the fabric, so the harness groups
-/// them into a single lockstep batch per engine
-/// ([`coherence_sweep_artifact`]).
+/// them into one batch job per engine ([`coherence_sweep_artifact`]).
 #[must_use]
 pub fn coherence_spec() -> SweepSpec {
     SweepSpec::new("coherence-geometry")
@@ -412,16 +411,16 @@ pub fn coherence_spec() -> SweepSpec {
 
 /// Runs the coherence grid through the harness's batched path: points
 /// grouped by engine (the shared trace + fabric content key), each
-/// group evaluated as one [`CoherenceSystem::run_batch_with`] lockstep
-/// pass over its geometry lanes through a single warm
-/// [`CoherenceScratch`]. Journaling, resume, caching and supervision
+/// group evaluated by one [`CoherenceSystem::run_lanes`] call, which
+/// runs the group's geometry lanes one after another through a single
+/// warm [`CoherenceScratch`]. Journaling, resume, caching and supervision
 /// all apply per *point* — a lane's record is indistinguishable from a
 /// scalar evaluation, so a resumed run re-batches only the missing
 /// lanes and the canonical artifact stays byte-identical to an
 /// uninterrupted (or scalar) run at any thread count.
 ///
 /// [`CoherenceSystem`]: cryowire_coherence::CoherenceSystem
-/// [`CoherenceSystem::run_batch_with`]: cryowire_coherence::CoherenceSystem::run_batch_with
+/// [`CoherenceSystem::run_lanes`]: cryowire_coherence::CoherenceSystem::run_lanes
 #[must_use]
 pub fn coherence_sweep_artifact(accesses_per_core: usize, opts: SweepOptions<'_>) -> RunArtifact {
     use super::bench_coherence as bc;
@@ -448,9 +447,9 @@ pub fn coherence_sweep_artifact(accesses_per_core: usize, opts: SweepOptions<'_>
                 let (system, _) = bc::build_system(kind, lanes[0].geometry);
                 let mut scratch = CoherenceScratch::new();
                 system
-                    .run_batch_with(&trace, &lanes, None, &mut scratch)
+                    .run_lanes(&trace, &lanes, None, &mut scratch)
                     .iter()
-                    .map(|r| bc::outcome_value(r.as_ref().expect("clean lane completes")))
+                    .map(|r| Ok(bc::outcome_value(r.as_ref().expect("clean lane completes"))))
                     .collect()
             },
         )

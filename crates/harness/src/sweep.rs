@@ -246,25 +246,28 @@ impl<'c> Sweep<'c> {
     }
 
     /// Evaluates the grid in **batch jobs**: points are grouped by
-    /// `group` (e.g. the content key of the trace or the `PathTable`
-    /// identity they share), every group is handed to `eval_batch` as
-    /// one unit, and the batch results are split back into ordinary
-    /// per-point records — the artifact is byte-identical (canonically)
-    /// to a [`Sweep::run`] whose `eval` returns the same per-point
-    /// values, at any thread count.
+    /// `group` (e.g. the content key of the trace or fabric they share),
+    /// every group is handed to `eval_batch` as one unit, and the batch
+    /// results are split back into ordinary per-point records — the
+    /// artifact is byte-identical (canonically) to a [`Sweep::run`]
+    /// whose `eval` returns the same per-point values, at any thread
+    /// count.
     ///
     /// `eval_batch` receives the group key and the group's points with
     /// their deterministic seeds (enumeration order), and must return
-    /// exactly one value per point, in order. A mismatched count or a
-    /// panic fails every point of that group (isolated from other
-    /// groups, never cached). Cache hits, journal replays and
-    /// content-key duplicates are resolved *before* grouping, so a
-    /// batch job only ever computes distinct, unresolved points.
+    /// exactly one `Result` per point, in order. Cache hits, journal
+    /// replays and content-key duplicates are resolved *before*
+    /// grouping, so a batch job only ever computes distinct, unresolved
+    /// points.
     ///
-    /// Lane-level failures — one point of the batch failing while its
-    /// siblings succeed — need the [`Sweep::run_batched_results`]
-    /// variant; this convenience wrapper is for all-or-nothing batch
-    /// evaluators.
+    /// An `Err` lane lands in *that point's* record — error message and
+    /// failure class, exactly like a scalar failure — without poisoning
+    /// its siblings, which are cached and journaled normally. Lane-level
+    /// `Err`s are already-diagnosed evaluator results and are not
+    /// retried. A mismatched result count or a whole-batch panic fails
+    /// every point of the group (isolated from other groups, never
+    /// cached); panics are supervised — classified, and retried when
+    /// transient.
     ///
     /// # Panics
     ///
@@ -272,34 +275,6 @@ impl<'c> Sweep<'c> {
     /// journal cannot be opened.
     #[must_use]
     pub fn run_batched<G, F>(self, group: G, eval_batch: F) -> RunArtifact
-    where
-        G: Fn(&Point) -> String,
-        F: Fn(&str, &[(&Point, u64)]) -> Vec<Value> + Sync,
-    {
-        self.run_batched_results(group, |key, batch| {
-            eval_batch(key, batch).into_iter().map(Ok).collect()
-        })
-    }
-
-    /// [`Sweep::run_batched`] with per-lane fallibility: the batch
-    /// evaluator returns one `Result` per point, and an `Err` lane
-    /// lands in *that point's* record — error message and failure
-    /// class, exactly like a scalar failure — without poisoning its
-    /// siblings, which are cached and journaled normally. This is the
-    /// artifact-level face of the batched engines'
-    /// first-scalar-error-in-grid-order contract.
-    ///
-    /// Whole-batch panics are still supervised (classified, retried
-    /// when transient) and fail every lane of the group; lane-level
-    /// `Err`s are already-diagnosed evaluator results and are not
-    /// retried.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the spec fails [`SweepSpec::validate`] or a requested
-    /// journal cannot be opened.
-    #[must_use]
-    pub fn run_batched_results<G, F>(self, group: G, eval_batch: F) -> RunArtifact
     where
         G: Fn(&Point) -> String,
         F: Fn(&str, &[(&Point, u64)]) -> Vec<Result<Value, Failure>> + Sync,
@@ -824,7 +799,7 @@ mod tests {
                 .threads(threads)
                 .run_batched(
                     |p| format!("t={}", p.f64("t")),
-                    |_, batch| batch.iter().map(|&(p, seed)| eval(p, seed)).collect(),
+                    |_, batch| batch.iter().map(|&(p, seed)| Ok(eval(p, seed))).collect(),
                 );
             assert_eq!(
                 scalar.canonical_json(),
@@ -853,7 +828,7 @@ mod tests {
                     assert_eq!(batch.len(), 2, "group sees both of its points");
                     batch
                         .iter()
-                        .map(|&(p, _)| Value::Int(p.i64("g") * 100 + p.i64("x")))
+                        .map(|&(p, _)| Ok(Value::Int(p.i64("g") * 100 + p.i64("x"))))
                         .collect()
                 },
             );
@@ -884,7 +859,10 @@ mod tests {
             |p| p.i64("g").to_string(),
             |key, batch| {
                 assert_ne!(key, "2", "injected group failure");
-                batch.iter().map(|&(p, _)| Value::Int(p.i64("x"))).collect()
+                batch
+                    .iter()
+                    .map(|&(p, _)| Ok(Value::Int(p.i64("x"))))
+                    .collect()
             },
         );
         assert_eq!(artifact.stats.failed, 2, "both points of group 2");
@@ -901,7 +879,7 @@ mod tests {
     fn batched_evaluator_result_count_mismatch_fails_the_group() {
         let artifact = Sweep::new(SweepSpec::new("b").axis("x", [1i64, 2]))
             .eval_tag("b/v1")
-            .run_batched(|_| "all".to_string(), |_, _| vec![Value::Int(1)]);
+            .run_batched(|_| "all".to_string(), |_, _| vec![Ok(Value::Int(1))]);
         assert_eq!(artifact.stats.failed, 2);
         assert!(artifact.points[0]
             .error
@@ -1090,7 +1068,7 @@ mod tests {
 
     #[test]
     fn batched_lane_errors_match_scalar_error_contract() {
-        // Satellite: a typed error in one lane of a batch lands in that
+        // A typed error in one lane of a batch lands in that
         // point's record exactly like a scalar failure — message,
         // class, Null value — without poisoning its siblings.
         let spec3 = SweepSpec::new("b").axis("x", [1i64, 2, 3]);
@@ -1100,24 +1078,21 @@ mod tests {
             }
             Value::Int(p.i64("x") * 10)
         });
-        let batched = Sweep::new(spec3)
-            .eval_tag("b/v1")
-            .threads(2)
-            .run_batched_results(
-                |_| "all".to_string(),
-                |_, batch| {
-                    batch
-                        .iter()
-                        .map(|&(p, _)| {
-                            if p.i64("x") == 2 {
-                                Err(Failure::new(FailureClass::Stalled, "lane 2 stalled"))
-                            } else {
-                                Ok(Value::Int(p.i64("x") * 10))
-                            }
-                        })
-                        .collect()
-                },
-            );
+        let batched = Sweep::new(spec3).eval_tag("b/v1").threads(2).run_batched(
+            |_| "all".to_string(),
+            |_, batch| {
+                batch
+                    .iter()
+                    .map(|&(p, _)| {
+                        if p.i64("x") == 2 {
+                            Err(Failure::new(FailureClass::Stalled, "lane 2 stalled"))
+                        } else {
+                            Ok(Value::Int(p.i64("x") * 10))
+                        }
+                    })
+                    .collect()
+            },
+        );
         assert_eq!(
             batched.canonical_json(),
             scalar.canonical_json(),
@@ -1139,7 +1114,7 @@ mod tests {
         let first = Sweep::new(spec2.clone())
             .eval_tag("b/v1")
             .cache(&cache)
-            .run_batched_results(
+            .run_batched(
                 |_| "all".to_string(),
                 |_, batch| {
                     batch
@@ -1160,7 +1135,7 @@ mod tests {
         let second = Sweep::new(spec2)
             .eval_tag("b/v1")
             .cache(&cache)
-            .run_batched_results(
+            .run_batched(
                 |_| "all".to_string(),
                 |_, batch| {
                     batch
@@ -1185,7 +1160,7 @@ mod tests {
         let eval = |p: &Point| Value::Int(p.i64("g") * 100 + p.i64("x"));
         let reference = Sweep::new(spec4.clone()).eval_tag("b/v1").run_batched(
             |p| p.i64("g").to_string(),
-            |_, batch| batch.iter().map(|&(p, _)| eval(p)).collect(),
+            |_, batch| batch.iter().map(|&(p, _)| Ok(eval(p))).collect(),
         );
         // First run: group 2 fails — only group 1's lanes are
         // journaled.
@@ -1196,7 +1171,7 @@ mod tests {
                 |p| p.i64("g").to_string(),
                 |key, batch| {
                     assert_ne!(key, "2", "simulated crash");
-                    batch.iter().map(|&(p, _)| eval(p)).collect()
+                    batch.iter().map(|&(p, _)| Ok(eval(p))).collect()
                 },
             );
         let jobs = AtomicUsize::new(0);
@@ -1207,7 +1182,7 @@ mod tests {
                 |p| p.i64("g").to_string(),
                 |_, batch| {
                     jobs.fetch_add(1, Ordering::Relaxed);
-                    batch.iter().map(|&(p, _)| eval(p)).collect()
+                    batch.iter().map(|&(p, _)| Ok(eval(p))).collect()
                 },
             );
         assert_eq!(

@@ -258,44 +258,6 @@ impl SimScratch {
     }
 }
 
-/// Per-rate lane state for the batched lockstep engine: its own RNG
-/// (streams diverge across rates as soon as one lane's injection gate
-/// passes and another's does not) and its own measurement accumulators.
-#[derive(Debug)]
-struct RateLane {
-    rng: StdRng,
-    rate: f64,
-    measured_total: u64,
-    measured_count: u64,
-    zero_load_sum: u64,
-}
-
-/// Reusable state for batched rate-grid runs
-/// ([`Simulator::run_rates_with_scratch`]): an embedded [`SimScratch`]
-/// whose memoized [`PathTable`] serves *every* rate in the batch (one
-/// route rebuild per (network, dead-set) for the whole grid), plus a
-/// lane-major `free` slab — lane `l` owns
-/// `free[l * resources..(l + 1) * resources]` — and the per-lane RNG /
-/// accumulator state.
-///
-/// Grow-only like the other scratches: after the first batch warms the
-/// slab and the route table, steady-state batched runs perform zero
-/// heap allocations (pinned by `tests/zero_alloc.rs`).
-#[derive(Debug, Default)]
-pub struct BatchSimScratch {
-    base: SimScratch,
-    free: Vec<u64>,
-    lanes: Vec<RateLane>,
-}
-
-impl BatchSimScratch {
-    /// An empty scratch; the first batched run populates it.
-    #[must_use]
-    pub fn new() -> Self {
-        BatchSimScratch::default()
-    }
-}
-
 /// Finds (or builds) the epoch whose dead set equals `dead`, returning
 /// its index. Free function so the caller can keep `scratch.free`
 /// mutably borrowed.
@@ -406,136 +368,6 @@ impl Simulator {
         } else {
             self.run_faulted(network, pattern, rate, faults, &topo, scratch)
         }
-    }
-
-    /// Runs a whole rate grid over `network` in lockstep, returning one
-    /// [`SimResult`] per rate (same order), each bit-identical to a
-    /// scalar [`Simulator::run_with_scratch`] call at that rate.
-    ///
-    /// The fault-free engine steps every rate lane per (cycle, src)
-    /// through one loop: routing is memoized once in the shared
-    /// [`PathTable`] for the whole grid, and each lane draws from its
-    /// own seeded RNG in exactly the scalar per-rate order (the gate /
-    /// destination / tag draws of a lane depend on that lane's gate
-    /// outcomes, so streams cannot be shared across rates). A non-empty
-    /// fault schedule falls back to scalar runs through the embedded
-    /// scratch — fault state transitions are control-flow-heavy enough
-    /// that lockstepping them buys nothing.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Simulator::run_with_scratch`]; the first offending rate
-    /// (in grid order) reports the error.
-    pub fn run_rates_with_scratch(
-        &self,
-        network: &dyn Network,
-        pattern: TrafficPattern,
-        rates: &[f64],
-        faults: &FaultSchedule,
-        scratch: &mut BatchSimScratch,
-    ) -> Result<Vec<SimResult>, SimError> {
-        for &rate in rates {
-            if !(0.0..=1.0).contains(&rate) || !rate.is_finite() {
-                return Err(NocError::InvalidInjectionRate { rate }.into());
-            }
-        }
-        self.config.validate()?;
-        let topo = *network.topology();
-        pattern.validate(&topo)?;
-        if rates.is_empty() {
-            return Ok(Vec::new());
-        }
-        if !faults.is_empty() {
-            // Sequential fallback, still sharing the memoized routes.
-            let mut out = Vec::with_capacity(rates.len());
-            for &rate in rates {
-                out.push(self.run_with_scratch(
-                    network,
-                    pattern,
-                    rate,
-                    faults,
-                    &mut scratch.base,
-                )?);
-            }
-            return Ok(out);
-        }
-
-        scratch.base.bind(network);
-        let BatchSimScratch { base, free, lanes } = scratch;
-        let table_idx = epoch_index(&mut base.epochs, network, &[]);
-        let table = &base.epochs[table_idx].1;
-        let n = topo.nodes();
-        // `chunks_mut` needs a positive chunk size; a resource-less
-        // network gets one padding slot per lane (never indexed, and
-        // `finish` reads the same zero backlog from it).
-        let rc = network.resource_count().max(1);
-
-        lanes.clear();
-        for &rate in rates {
-            lanes.push(RateLane {
-                rng: StdRng::seed_from_u64(self.config.seed),
-                rate,
-                measured_total: 0,
-                measured_count: 0,
-                zero_load_sum: 0,
-            });
-        }
-        let want = lanes.len() * rc;
-        if free.len() < want {
-            free.resize(want, 0);
-        }
-        free[..want].fill(0);
-
-        for cycle in 0..self.config.cycles {
-            let scale = pattern.burst_scale(cycle);
-            let measure = cycle >= self.config.warmup;
-            for src in 0..n {
-                for (lane, free_l) in lanes.iter_mut().zip(free.chunks_mut(rc)) {
-                    // One gate draw per (cycle, src) whether or not the
-                    // lane can inject — the scalar engine's
-                    // stream-preserving contract.
-                    let p = lane.rate * scale;
-                    if lane.rng.gen::<f64>() >= p {
-                        continue;
-                    }
-                    let dst = pattern.destination(src, &topo, &mut lane.rng);
-                    let tag = lane.rng.gen::<u64>();
-                    let (legs, zero) = table
-                        .lookup(src, dst, tag)
-                        .expect("fault-free routes always exist");
-                    let mut t = cycle;
-                    for leg in legs {
-                        if let Some(r) = leg.resource {
-                            let start = t.max(free_l[r]);
-                            free_l[r] = start + leg.occupancy_cycles;
-                            t = start;
-                        }
-                        t += leg.traversal_cycles;
-                    }
-                    if measure {
-                        lane.measured_total += t - cycle;
-                        lane.measured_count += 1;
-                        lane.zero_load_sum += zero;
-                    }
-                }
-            }
-        }
-
-        Ok(lanes
-            .iter()
-            .zip(free.chunks(rc))
-            .map(|(lane, free_l)| {
-                self.finish(
-                    lane.rate,
-                    lane.measured_total,
-                    lane.measured_count,
-                    lane.zero_load_sum,
-                    0,
-                    0,
-                    free_l,
-                )
-            })
-            .collect())
     }
 
     /// The fault-free fast path: no fault lookups anywhere, no loss
@@ -1267,94 +1099,6 @@ mod tests {
             .run_with_faults(&toy(), TrafficPattern::UniformRandom, 0.003, &faults)
             .unwrap();
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn batched_rates_match_scalar_engine() {
-        let sim = Simulator::default();
-        let net = toy();
-        let empty = FaultSchedule::default();
-        let rates = [0.0005, 0.001, 0.003, 0.006, 0.02];
-        let mut batch = BatchSimScratch::new();
-        let batched = sim
-            .run_rates_with_scratch(
-                &net,
-                TrafficPattern::UniformRandom,
-                &rates,
-                &empty,
-                &mut batch,
-            )
-            .unwrap();
-        let mut scratch = SimScratch::new();
-        for (&rate, got) in rates.iter().zip(&batched) {
-            let want = sim
-                .run_with_scratch(
-                    &net,
-                    TrafficPattern::UniformRandom,
-                    rate,
-                    &empty,
-                    &mut scratch,
-                )
-                .unwrap();
-            assert_eq!(*got, want, "rate {rate} diverged from the scalar engine");
-        }
-        // Scratch reuse across batches (including a narrower grid) is
-        // result-invariant.
-        let again = sim
-            .run_rates_with_scratch(
-                &net,
-                TrafficPattern::UniformRandom,
-                &rates[..2],
-                &empty,
-                &mut batch,
-            )
-            .unwrap();
-        assert_eq!(again[..], batched[..2]);
-    }
-
-    #[test]
-    fn batched_rates_with_faults_match_scalar_engine() {
-        use cryowire_faults::FaultPlan;
-        let sim = Simulator::default();
-        let net = toy();
-        let faults = FaultPlan::new(7)
-            .flit_loss(0.1, 3)
-            .degraded_links(1, &[0], 2.0, 3.0)
-            .schedule(30_000);
-        let rates = [0.001, 0.003, 0.006];
-        let batched = sim
-            .run_rates_with_scratch(
-                &net,
-                TrafficPattern::UniformRandom,
-                &rates,
-                &faults,
-                &mut BatchSimScratch::new(),
-            )
-            .unwrap();
-        for (&rate, got) in rates.iter().zip(&batched) {
-            let want = sim
-                .run_with_faults(&net, TrafficPattern::UniformRandom, rate, &faults)
-                .unwrap();
-            assert_eq!(*got, want, "rate {rate}");
-        }
-    }
-
-    #[test]
-    fn batched_rates_reject_bad_rates() {
-        let sim = Simulator::default();
-        let err = sim
-            .run_rates_with_scratch(
-                &toy(),
-                TrafficPattern::UniformRandom,
-                &[0.001, 1.5],
-                &FaultSchedule::default(),
-                &mut BatchSimScratch::new(),
-            )
-            .unwrap_err();
-        assert!(matches!(
-            err,
-            SimError::Noc(NocError::InvalidInjectionRate { .. })
-        ));
     }
 
     #[test]

@@ -107,128 +107,6 @@ fn optimized_engine_is_bit_identical_to_reference() {
     }
 }
 
-/// Pins the batched rate-grid engine to the scalar engine: lane `i` of
-/// a successful batched run must bit-equal the scalar run at `rates[i]`,
-/// and a failed batched run must report exactly the first scalar error
-/// in grid order (the documented contract).
-fn assert_batched_matches_scalar(
-    sim: &Simulator,
-    net: &dyn Network,
-    pattern: TrafficPattern,
-    rates: &[f64],
-    faults: &FaultSchedule,
-    ctx: &str,
-) {
-    let mut batch = cryowire_noc::BatchSimScratch::new();
-    let got = sim.run_rates_with_scratch(net, pattern, rates, faults, &mut batch);
-    let mut scalar = cryowire_noc::SimScratch::new();
-    let want: Vec<_> = rates
-        .iter()
-        .map(|&rate| sim.run_with_scratch(net, pattern, rate, faults, &mut scalar))
-        .collect();
-    match got {
-        Ok(lanes) => {
-            assert_eq!(lanes.len(), rates.len(), "{ctx}: lane count");
-            for ((lane, want), rate) in lanes.iter().zip(&want).zip(rates) {
-                assert_eq!(Ok(lane), want.as_ref(), "{ctx} / rate {rate}");
-            }
-        }
-        Err(e) => {
-            let first = want
-                .iter()
-                .find_map(|r| r.as_ref().err())
-                .unwrap_or_else(|| {
-                    panic!("{ctx}: batched failed ({e:?}) but every scalar rate succeeded")
-                });
-            assert_eq!(&e, first, "{ctx}: batched and scalar errors differ");
-        }
-    }
-}
-
-#[test]
-fn batched_rate_grid_is_bit_identical_to_scalar_runs() {
-    // The batched engine must reproduce the scalar per-rate results
-    // exactly — including the RNG draw order — across the acceptance
-    // matrix, and across fault plans (which take the sequential
-    // fallback path through the shared scratch).
-    for seed in [1u64, 0xC0FFEE] {
-        let config = SimConfig {
-            cycles: CYCLES,
-            warmup: 500,
-            seed,
-            ..SimConfig::default()
-        };
-        let sim = Simulator::new(config);
-        let rates = [0.0, 0.002, 0.01, 0.03];
-        for net in networks() {
-            for (pattern, pname) in patterns() {
-                for (faults, fname) in plans() {
-                    let ctx = format!("{} / {pname} / {fname} / seed {seed:#x}", net.name());
-                    assert_batched_matches_scalar(
-                        &sim,
-                        net.as_ref(),
-                        pattern,
-                        &rates,
-                        &faults,
-                        &ctx,
-                    );
-                }
-            }
-        }
-    }
-}
-
-#[test]
-fn randomized_fault_plans_keep_batched_and_scalar_grids_identical() {
-    // Derives pseudo-random fault plans (event kinds, onsets, windows)
-    // from a seeded LCG and pins batched == scalar for each; exercises
-    // the faulted fallback with dead sets and loss probabilities the
-    // hand-written plans above don't cover.
-    let t77 = Temperature::liquid_nitrogen();
-    let net = CryoBus::two_way(64, t77);
-    let rates = [0.004, 0.012];
-    let mut state = 0x2545_F491_4F6C_DD1Du64;
-    let mut next = move || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        state
-    };
-    for trial in 0..12u64 {
-        let onset = next() % (CYCLES / 2);
-        let end = onset + 1 + next() % (CYCLES - onset);
-        let kind = match next() % 3 {
-            0 => FaultKind::LinkDead {
-                resource: (next() % 2) as usize,
-            },
-            1 => FaultKind::FlitLoss {
-                probability: (next() % 40) as f64 / 100.0,
-                max_retransmits: (next() % 4) as u32,
-            },
-            _ => FaultKind::CoolingTransient {
-                peak_kelvin: 90.0 + (next() % 200) as f64,
-            },
-        };
-        let faults =
-            FaultSchedule::from_events(vec![FaultEvent::transient(onset, end, kind)], CYCLES);
-        let config = SimConfig {
-            cycles: CYCLES,
-            warmup: 500,
-            seed: next(),
-            ..SimConfig::default()
-        };
-        let sim = Simulator::new(config);
-        assert_batched_matches_scalar(
-            &sim,
-            &net,
-            TrafficPattern::UniformRandom,
-            &rates,
-            &faults,
-            &format!("trial {trial} / {kind:?}"),
-        );
-    }
-}
-
 #[test]
 fn scratch_reuse_across_fault_epochs_is_bit_identical() {
     // A schedule whose dead set changes mid-run (way 0 dies, later the

@@ -43,9 +43,8 @@ pub struct CoreSimulator {
     config: CoreConfig,
 }
 
-/// Asserts that `config` is simulatable (shared by all three engines:
-/// the scalar hot loop, the reference, and the batched lockstep engine
-/// in [`crate::batch`]).
+/// Asserts that `config` is simulatable (shared by the scalar hot loop
+/// and the reference).
 pub(crate) fn validate_config(config: &CoreConfig) {
     assert!(config.width > 0, "core width must be positive");
     assert!(

@@ -28,7 +28,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod arena;
-pub mod batch;
 pub mod cache;
 pub mod config;
 pub mod core;
@@ -38,7 +37,6 @@ pub mod scratch;
 pub mod trace;
 
 pub use arena::TraceArena;
-pub use batch::{run_batch_into, run_batch_with_scratch, BatchScratch};
 pub use cache::{AddressModel, Cache, CacheConfig, CacheHierarchy};
 pub use config::CoreConfig;
 pub use core::CoreSimulator;

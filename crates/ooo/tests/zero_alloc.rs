@@ -1,9 +1,8 @@
 //! Counting-allocator proof that the core simulator's steady-state hot
 //! loops allocate nothing: after one warm-up run populates the scratch
 //! (decoded trace + rings + predictor tables), further runs — including
-//! a different configuration over the same trace, a full CPI stack, and
-//! a batched lockstep run over a whole configuration grid — must
-//! perform **zero** heap allocations. Kept in its own integration-test
+//! a different configuration over the same trace and a full CPI stack —
+//! must perform **zero** heap allocations. Kept in its own integration-test
 //! binary (one test function, so no concurrent test can perturb the
 //! global counter) so the allocator hook does not interfere with other
 //! suites.
@@ -11,9 +10,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use cryowire_ooo::{
-    run_batch_into, BatchScratch, CoreConfig, CoreScratch, CoreSimulator, TraceConfig,
-};
+use cryowire_ooo::{CoreConfig, CoreScratch, CoreSimulator, TraceConfig};
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
@@ -73,34 +70,5 @@ fn steady_state_hot_loop_allocates_nothing() {
         after - before,
         0,
         "steady-state run_with_scratch / cpi_stack must not allocate"
-    );
-
-    // Batched lockstep engine: after one warm batch sizes the lane
-    // slabs, a steady-state `run_batch_into` over the same grid — and a
-    // narrower sub-grid reusing the larger slabs — allocates nothing.
-    let configs = [
-        CoreConfig::skylake_8_wide(),
-        CoreConfig::cryosp(),
-        CoreConfig::cryocore_4_wide(),
-    ];
-    let mut batch_scratch = BatchScratch::new();
-    let mut lanes = Vec::new();
-    run_batch_into(&configs, &trace, &mut batch_scratch, &mut lanes);
-    let warm_lanes = lanes.clone();
-
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
-    run_batch_into(&configs, &trace, &mut batch_scratch, &mut lanes);
-    // Comparing in place (no clone) keeps the counting window honest;
-    // `assert_eq!` only allocates on failure, where the count is moot.
-    assert_eq!(lanes[..], warm_lanes[..], "scratch reuse changed a batch");
-    run_batch_into(&configs[..2], &trace, &mut batch_scratch, &mut lanes);
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
-
-    assert_eq!(lanes[..], warm_lanes[..2], "slab reuse changed a lane");
-    assert_eq!(warm_lanes[0], steady, "lane 0 must match the scalar run");
-    assert_eq!(
-        after - before,
-        0,
-        "steady-state run_batch_into must not allocate"
     );
 }

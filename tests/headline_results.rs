@@ -52,7 +52,14 @@ fn abstract_claim_5x_lower_noc_latency() {
         MemoryDesign::mem_77k(),
     );
     let ratio = mesh.hit_breakdown().noc_ns / cryo.hit_breakdown().noc_ns;
-    assert!(ratio > 2.5, "NoC latency ratio = {ratio} (paper: ~5x)");
+    // The LLC-path model measures 2.733x against the paper's ~5x. The
+    // band pins the measured value to +-3 %, so drift in either direction
+    // fails; its lower edge (2.65x) stays above the old 2.5x floor.
+    let measured = 2.733;
+    assert!(
+        (measured * 0.97..=measured * 1.03).contains(&ratio),
+        "NoC latency ratio = {ratio:.3}, outside {measured} +- 3 % (paper: ~5x)"
+    );
 }
 
 #[test]
