@@ -1,12 +1,8 @@
 //! Parallel, cached design-space sweeps with JSON run artifacts.
 //!
 //! ```sh
-//! cargo run --release --bin sweep -- [--sweep depth|fig27|fig21|degraded] \
-//!     [--threads N] [--out FILE] [--cache-dir DIR] \
-//!     [--temps N] [--max-split K] [--full] \
-//!     [--fault-seed N] [--inject-panic] [--canonical] \
-//!     [--journal FILE] [--resume] [--retries N] [--deadline-ms N] \
-//!     [--backoff-ms N] [--fail-fast] [--point-delay-ms N]
+//! cargo run --release --bin sweep -- --help   # every flag
+//! cargo run --release --bin sweep -- --list   # every registered sweep
 //! ```
 //!
 //! The default sweep is the temperature × pipeline-depth grid
@@ -244,8 +240,8 @@ fn parse_args() -> Args {
                      --journal FILE appends completed points to a checksummed,\n\
                      fsync'd WAL; --resume replays it so an interrupted run (even\n\
                      kill -9) continues with a byte-identical canonical artifact.\n\
-                     --retries N retries transient failures (I/O, timeout, stall,\n\
-                     cache corruption) up to N times with deterministic exponential\n\
+                     --retries N retries typed transient failures (I/O, timeout,\n\
+                     stall) up to N times with deterministic exponential\n\
                      backoff starting at --backoff-ms (default 25); --deadline-ms\n\
                      arms a cooperative per-attempt watchdog; points that exhaust\n\
                      the budget are quarantined (exit 2) and --fail-fast stops\n\
@@ -362,7 +358,7 @@ fn grid_fig21(args: &Args, opts: SweepOptions) -> RunArtifact {
 }
 
 fn grid_degraded(args: &Args, opts: SweepOptions) -> RunArtifact {
-    experiments::degraded_sweep_artifact_injected(args.fault_seed, args.inject, opts)
+    experiments::degraded_sweep_artifact(args.fault_seed, args.inject, opts)
 }
 
 fn grid_coherence(args: &Args, opts: SweepOptions) -> RunArtifact {

@@ -34,11 +34,11 @@
 //!
 //! Correctness is asserted three ways while benchmarking: per-lane
 //! optimized-vs-reference bit-identity, a replay of lane 0's commit log
-//! through the hop-count reference engines (`reference-sim`), and a
-//! harness sweep over the full engine × geometry grid evaluated through
-//! [`Sweep::run_batched`] (points grouped by the shared trace + fabric
-//! content key) that must produce the byte-identical canonical artifact
-//! of the scalar [`Sweep::run`] at 1 and N threads.
+//! through the hop-count reference engines (`reference-sim`), and the
+//! `coherence` sweep over the full engine × geometry grid (points
+//! grouped by the shared trace + fabric content key), which must
+//! produce the byte-identical canonical artifact of a per-point
+//! [`Sweep::run`] at 1 and N threads.
 
 use std::time::Instant;
 
@@ -50,11 +50,13 @@ use cryowire_coherence::{
     CoherenceSystem, Protocol, RunOutcome, SnoopFabric, SystemFabric, TraceGenConfig,
 };
 use cryowire_device::Temperature;
-use cryowire_harness::{Sweep, SweepSpec};
+use cryowire_harness::Sweep;
 use cryowire_memory::MemoryDesign;
 use cryowire_noc::{CryoBus, RouterClass, RouterNetwork};
 use cryowire_system::Workload;
 use serde_json::Value;
+
+use super::{coherence_spec, coherence_sweep_artifact, SweepOptions};
 
 /// Timing repetitions per pass; the minimum wall time is reported
 /// (identical deterministic work each repetition).
@@ -335,28 +337,18 @@ pub(crate) fn outcome_value(out: &RunOutcome) -> Value {
     ])
 }
 
-/// Asserts the batching contract at the harness layer: a sweep over the
-/// engine × geometry grid evaluated through [`Sweep::run_batched`] —
-/// points grouped into one batch job per engine by the shared
-/// trace + fabric content key — produces the byte-identical canonical
-/// artifact of the scalar [`Sweep::run`], at one worker and at several.
+/// Asserts the batching contract at the harness layer: the `coherence`
+/// sweep ([`coherence_sweep_artifact`], one batch job per engine
+/// over the shared trace + fabric) produces the byte-identical canonical
+/// artifact of a [`Sweep::run`] that evaluates every point alone, at one
+/// worker and at several.
 fn assert_harness_identity(accesses_per_core: usize) {
     let workload = parsec("streamcluster");
     let trace = TraceGenConfig::from_workload(&workload, CORES, accesses_per_core, 0xC0_11E5)
         .generate()
         .expect("workload trace generates");
-    let geometries = bench_coherence_geometries();
-    let spec = || {
-        SweepSpec::new("bench-coherence-identity")
-            .axis(
-                "engine",
-                EngineKind::ALL.iter().map(|e| e.name().to_string()),
-            )
-            .axis("geometry", geometries.iter().map(|(n, _)| (*n).to_string()))
-    };
-    let scalar = Sweep::new(spec())
-        .eval_tag("bench-coherence/identity/v1")
-        .threads(1)
+    let scalar = Sweep::new(coherence_spec())
+        .eval_tag("coherence-grid/v1")
         .run(|point, _| {
             let kind = EngineKind::by_name(point.str("engine"));
             let (system, _) = build_system(kind, geometry_by_name(point.str("geometry")));
@@ -367,31 +359,7 @@ fn assert_harness_identity(accesses_per_core: usize) {
             outcome_value(&out)
         });
     for threads in [1, 4] {
-        let batched = Sweep::new(spec())
-            .eval_tag("bench-coherence/identity/v1")
-            .threads(threads)
-            // The batching key: every point of an engine shares the
-            // trace and the fabric, so one `run_lanes` call decodes the
-            // trace once for all of its geometry lanes.
-            .run_batched(
-                |point| point.str("engine").to_string(),
-                |key, batch| {
-                    let kind = EngineKind::by_name(key);
-                    let lanes: Vec<CoherenceConfig> = batch
-                        .iter()
-                        .map(|(point, _)| {
-                            lane_config(kind, geometry_by_name(point.str("geometry")))
-                        })
-                        .collect();
-                    let (system, _) = build_system(kind, lanes[0].geometry);
-                    let mut scratch = CoherenceScratch::new();
-                    system
-                        .run_lanes(&trace, &lanes, None, &mut scratch)
-                        .iter()
-                        .map(|r| Ok(outcome_value(r.as_ref().expect("clean lane completes"))))
-                        .collect()
-                },
-            );
+        let batched = coherence_sweep_artifact(accesses_per_core, SweepOptions::threaded(threads));
         assert_eq!(
             scalar.canonical_json(),
             batched.canonical_json(),

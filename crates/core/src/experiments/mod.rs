@@ -52,8 +52,7 @@ pub use pipeline_figs::{
 pub use summary::{headline_summary, HeadlineSummary};
 pub use sweeps::{
     ablation_depth_spec, coherence_spec, coherence_sweep_artifact, degraded_eval, degraded_plan,
-    degraded_spec, degraded_spec_injected, degraded_sweep_artifact,
-    degraded_sweep_artifact_injected, depth_ablation_from_artifact, depth_grid_eval,
+    degraded_spec, degraded_sweep_artifact, depth_ablation_from_artifact, depth_grid_eval,
     depth_grid_spec, depth_sweep_artifact, fig21_from_artifact, fig21_spec, fig21_sweep_artifact,
     fig27_from_artifact, fig27_spec, fig27_sweep_artifact, linspace_temperatures, InjectFaults,
     SweepOptions, COHERENCE_SWEEP_ACCESSES, DEGRADED_HORIZON_CYCLES, DEGRADED_SCENARIOS,

@@ -502,24 +502,13 @@ pub struct InjectFaults {
     pub wedge: bool,
 }
 
-impl InjectFaults {
-    /// Only the classic `panic` point (the pre-supervision injection).
-    #[must_use]
-    pub fn panic_only(inject_panic: bool) -> Self {
-        InjectFaults {
-            panic: inject_panic,
-            ..InjectFaults::default()
-        }
-    }
-}
-
 /// The degraded-operation grid: one text axis over the scenarios, plus
 /// whichever deliberate-failure points [`InjectFaults`] asks for — the
 /// harness's per-point isolation keeps the rest of the run intact
 /// (exercised by the sweep binary's `--inject-*` flags and the
 /// robustness tests).
 #[must_use]
-pub fn degraded_spec_injected(inject: InjectFaults) -> SweepSpec {
+pub fn degraded_spec(inject: InjectFaults) -> SweepSpec {
     let mut spec = SweepSpec::new("degraded-operation").axis("scenario", DEGRADED_SCENARIOS);
     for (on, scenario) in [
         (inject.panic, "panic"),
@@ -532,12 +521,6 @@ pub fn degraded_spec_injected(inject: InjectFaults) -> SweepSpec {
         }
     }
     spec
-}
-
-/// The degraded grid with (at most) the classic `panic` injection.
-#[must_use]
-pub fn degraded_spec(inject_panic: bool) -> SweepSpec {
-    degraded_spec_injected(InjectFaults::panic_only(inject_panic))
 }
 
 /// The fault plan of one degraded-operation scenario, rooted at `seed`
@@ -632,26 +615,17 @@ pub fn degraded_eval(point: &Point, seed: u64) -> Value {
     }
 }
 
-/// Runs the degraded-operation sweep through the harness. `fault_seed`
-/// is the sweep's base seed: per-point schedule seeds derive from it
-/// and the point identity, never from thread schedule.
+/// Runs the degraded-operation sweep through the harness, with the
+/// deliberate-failure points `inject` asks for. `fault_seed` is the
+/// sweep's base seed: per-point schedule seeds derive from it and the
+/// point identity, never from thread schedule.
 #[must_use]
 pub fn degraded_sweep_artifact(
-    fault_seed: u64,
-    inject_panic: bool,
-    opts: SweepOptions<'_>,
-) -> RunArtifact {
-    degraded_sweep_artifact_injected(fault_seed, InjectFaults::panic_only(inject_panic), opts)
-}
-
-/// [`degraded_sweep_artifact`] with the full injection menu.
-#[must_use]
-pub fn degraded_sweep_artifact_injected(
     fault_seed: u64,
     inject: InjectFaults,
     opts: SweepOptions<'_>,
 ) -> RunArtifact {
-    opts.build(degraded_spec_injected(inject), "degraded/v1", fault_seed)
+    opts.build(degraded_spec(inject), "degraded/v1", fault_seed)
         .run(degraded_eval)
 }
 
@@ -696,7 +670,8 @@ mod tests {
 
     #[test]
     fn degraded_sweep_completes_and_orders_scenarios() {
-        let artifact = degraded_sweep_artifact(0xC0FFEE, false, SweepOptions::threaded(4));
+        let artifact =
+            degraded_sweep_artifact(0xC0FFEE, InjectFaults::default(), SweepOptions::threaded(4));
         assert_eq!(artifact.stats.points, 4);
         assert_eq!(artifact.stats.failed, 0);
         let perf = |scenario: &str| {
@@ -718,13 +693,18 @@ mod tests {
 
     #[test]
     fn degraded_panic_point_is_isolated() {
-        let faulted = degraded_sweep_artifact(0xC0FFEE, true, SweepOptions::threaded(2));
+        let inject = InjectFaults {
+            panic: true,
+            ..InjectFaults::default()
+        };
+        let faulted = degraded_sweep_artifact(0xC0FFEE, inject, SweepOptions::threaded(2));
         assert_eq!(faulted.stats.points, 5);
         assert_eq!(faulted.stats.failed, 1);
         let bad = faulted.find(|p| p.str("scenario") == "panic").unwrap();
         assert!(bad.failed());
         // Surviving points match a panic-free run value-for-value.
-        let clean = degraded_sweep_artifact(0xC0FFEE, false, SweepOptions::serial());
+        let clean =
+            degraded_sweep_artifact(0xC0FFEE, InjectFaults::default(), SweepOptions::serial());
         for r in clean.points.iter() {
             let f = faulted
                 .find(|p| p.str("scenario") == r.params.str("scenario"))

@@ -3,11 +3,10 @@
 //! quarantine.
 //!
 //! Every sweep evaluation runs under a [`SupervisePolicy`]. A failing
-//! attempt is *classified* into a [`FailureClass`]: evaluators can
-//! signal a class explicitly ([`fail`]), and untyped panics are
-//! classified from their message (the simulators' progress watchdogs
-//! already stamp `Stalled` into theirs). Transient classes (I/O,
-//! timeout, stall, cache corruption) are retried with bounded
+//! attempt is *classified* into a [`FailureClass`] by type alone:
+//! evaluators signal a class with [`fail`], and any other panic is a
+//! plain [`FailureClass::Panic`], whatever its message says. Transient
+//! classes (I/O, timeout, stall) are retried with bounded
 //! exponential backoff whose jitter derives from the point seed — the
 //! retry schedule is a pure function of (policy, seed), never of the
 //! wall clock or thread schedule. A point that exhausts its attempt
@@ -37,10 +36,8 @@ pub enum FailureClass {
     Panic,
     /// A cooperative wall-clock deadline fired ([`checkpoint`]).
     Timeout,
-    /// A progress watchdog tripped (the simulators' `SimError::Stalled`).
+    /// A progress watchdog tripped; the evaluator signals it with [`fail`].
     Stalled,
-    /// A cache entry failed its checksum or envelope parse.
-    CacheCorrupt,
     /// A filesystem or OS error (ENOSPC, EIO, permission).
     Io,
 }
@@ -53,26 +50,12 @@ impl FailureClass {
             FailureClass::Panic => "panic",
             FailureClass::Timeout => "timeout",
             FailureClass::Stalled => "stalled",
-            FailureClass::CacheCorrupt => "cache-corrupt",
             FailureClass::Io => "io",
         }
     }
 
-    /// Parses [`FailureClass::as_str`] back.
-    #[must_use]
-    pub fn parse(s: &str) -> Option<Self> {
-        Some(match s {
-            "panic" => FailureClass::Panic,
-            "timeout" => FailureClass::Timeout,
-            "stalled" => FailureClass::Stalled,
-            "cache-corrupt" => FailureClass::CacheCorrupt,
-            "io" => FailureClass::Io,
-            _ => return None,
-        })
-    }
-
     /// Whether failures of this class are worth retrying: anything
-    /// environmental (I/O, stall, timeout, corruption) may heal;
+    /// environmental (I/O, stall, timeout) may heal;
     /// a plain panic is assumed deterministic.
     #[must_use]
     pub fn is_transient(self) -> bool {
@@ -108,16 +91,15 @@ impl Failure {
 }
 
 /// Aborts the current evaluation attempt with a typed failure. The
-/// supervisor catches the unwind and classifies it exactly (no message
-/// heuristics involved).
+/// supervisor catches the unwind and classifies it exactly.
 pub fn fail(class: FailureClass, message: impl Into<String>) -> ! {
     std::panic::panic_any(Failure::new(class, message.into()))
 }
 
-/// Classifies a caught panic payload: typed [`Failure`] payloads pass
-/// through verbatim; string payloads are classified from their text
-/// (the simulators' watchdogs stamp `Stalled`/`stalled`, I/O errors
-/// carry `os error`); anything else is a plain [`FailureClass::Panic`].
+/// Classifies a caught panic payload: a typed [`Failure`] payload
+/// passes through verbatim; any other panic is a
+/// [`FailureClass::Panic`] carrying its message. The message is never
+/// inspected, so rewording an error cannot change how it is retried.
 #[must_use]
 pub fn classify(payload: &(dyn std::any::Any + Send)) -> Failure {
     if let Some(f) = payload.downcast_ref::<Failure>() {
@@ -128,19 +110,7 @@ pub fn classify(payload: &(dyn std::any::Any + Send)) -> Failure {
         .map(ToString::to_string)
         .or_else(|| payload.downcast_ref::<String>().cloned())
         .unwrap_or_else(|| "panic with non-string payload".to_string());
-    let lower = message.to_lowercase();
-    let class = if lower.contains("stalled") || lower.contains("watchdog") {
-        FailureClass::Stalled
-    } else if lower.contains("deadline exceeded") || lower.contains("timed out") {
-        FailureClass::Timeout
-    } else if lower.contains("corrupt") || lower.contains("checksum") {
-        FailureClass::CacheCorrupt
-    } else if lower.contains("os error") || lower.contains("no space") || lower.contains("i/o") {
-        FailureClass::Io
-    } else {
-        FailureClass::Panic
-    };
-    Failure { class, message }
+    Failure::new(FailureClass::Panic, message)
 }
 
 /// Retry/deadline/backoff policy for supervised evaluation.
@@ -410,21 +380,30 @@ mod tests {
     }
 
     #[test]
-    fn classification_heuristics() {
-        let cases: &[(&str, FailureClass)] = &[
-            ("simulation Stalled { blocked: 3 }", FailureClass::Stalled),
-            ("progress watchdog tripped", FailureClass::Stalled),
-            ("deadline exceeded (cooperative)", FailureClass::Timeout),
-            ("cache entry corrupt", FailureClass::CacheCorrupt),
-            ("No space left on device (os error 28)", FailureClass::Io),
-            ("index out of bounds", FailureClass::Panic),
-        ];
-        for (msg, want) in cases {
-            let payload: Box<dyn std::any::Any + Send> = Box::new((*msg).to_string());
-            let f = classify(payload.as_ref());
-            assert_eq!(f.class, *want, "{msg}");
-            assert_eq!(f.message, *msg, "message preserved verbatim");
+    fn only_typed_failures_are_classified_and_retried() {
+        // Untyped panics whose messages merely mention a transient
+        // cause stay `Panic`: not retried, message kept verbatim.
+        for msg in [
+            "simulation Stalled { blocked: 3 }",
+            "No space left on device (os error 28)",
+        ] {
+            let calls = AtomicU32::new(0);
+            let s = supervised(&quick_policy(3), 7, || -> u32 {
+                calls.fetch_add(1, Ordering::Relaxed);
+                panic!("{msg}");
+            });
+            let failure = s.result.unwrap_err();
+            assert_eq!(failure.class, FailureClass::Panic, "{msg}");
+            assert_eq!(failure.message, msg, "message preserved verbatim");
+            assert_eq!(calls.load(Ordering::Relaxed), 1, "{msg} was retried");
         }
+        let calls = AtomicU32::new(0);
+        let s = supervised(&quick_policy(3), 7, || -> u32 {
+            calls.fetch_add(1, Ordering::Relaxed);
+            fail(FailureClass::Stalled, "simulation Stalled { blocked: 3 }");
+        });
+        assert_eq!(s.result.unwrap_err().class, FailureClass::Stalled);
+        assert_eq!(calls.load(Ordering::Relaxed), 3, "typed stall retried");
     }
 
     #[test]
@@ -451,19 +430,5 @@ mod tests {
                 "attempt {attempt} at least half the exponential step"
             );
         }
-    }
-
-    #[test]
-    fn class_labels_round_trip() {
-        for class in [
-            FailureClass::Panic,
-            FailureClass::Timeout,
-            FailureClass::Stalled,
-            FailureClass::CacheCorrupt,
-            FailureClass::Io,
-        ] {
-            assert_eq!(FailureClass::parse(class.as_str()), Some(class));
-        }
-        assert_eq!(FailureClass::parse("nope"), None);
     }
 }

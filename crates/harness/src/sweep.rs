@@ -10,6 +10,7 @@ use crate::spec::{Point, SweepSpec};
 use crate::supervise::{supervised, Failure, FailureClass, SupervisePolicy};
 use serde_json::Value;
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -164,7 +165,9 @@ impl<'c> Sweep<'c> {
     ///
     /// `eval` receives the point and its deterministic seed
     /// ([`point_seed`]); it must be a pure function of those two
-    /// inputs for caching and parallel determinism to hold.
+    /// inputs for caching and parallel determinism to hold. This is
+    /// [`Sweep::run_batched`] with every dispatched point in a group of
+    /// its own, so both share one execution path.
     ///
     /// Every evaluation runs under the sweep's [`SupervisePolicy`]: a
     /// panicking evaluator is isolated to its point and classified
@@ -191,58 +194,10 @@ impl<'c> Sweep<'c> {
     where
         F: Fn(&Point, u64) -> Value + Sync,
     {
-        if let Err(msg) = self.spec.validate() {
-            panic!("{msg}");
-        }
-        let started = Instant::now();
-        let points = self.spec.points();
-        let mut plan = DispatchPlan::new(&points, &self.eval_tag, self.base_seed);
-        let journal = self.open_journal(&mut plan);
-        let cancel = CancelToken::new();
-        let policy = self.policy;
-        let outcomes = self.executor.run(&plan.dispatch, |_, &i| {
-            let point = &points[i];
-            let seed = plan.seeds[i];
-            let key = &plan.keys[i];
-            if policy.fail_fast && cancel.is_cancelled() {
-                return Outcome::skipped();
-            }
-            let t0 = Instant::now();
-            // Supervision wraps the cache lookup too: a corrupt cache
-            // read that escalates is retried like any transient fault,
-            // and a failed evaluator escapes before the cache stores
-            // anything, so errors are never cached.
-            let sup = supervised(&policy, seed, || match self.cache {
-                Some(cache) => cache.get_or_compute(key, || eval(point, seed)),
-                None => (eval(point, seed), false),
-            });
-            let eval_ms = t0.elapsed().as_secs_f64() * 1e3;
-            match sup.result {
-                Ok((value, cached)) => {
-                    // Acknowledge inside the worker, not after the
-                    // run: a `kill -9` mid-grid must find every
-                    // completed point already on disk.
-                    if let Some(journal) = &journal {
-                        journal.append(key, &value);
-                    }
-                    Outcome {
-                        value,
-                        cached,
-                        error: None,
-                        eval_ms: if cached { 0.0 } else { eval_ms },
-                        attempts: sup.attempts,
-                        class: None,
-                    }
-                }
-                Err(failure) => {
-                    if policy.fail_fast {
-                        cancel.cancel();
-                    }
-                    Outcome::failed(failure, eval_ms, sup.attempts)
-                }
-            }
-        });
-        self.assemble(points, plan, outcomes, journal, started)
+        self.run_groups(
+            |dispatch_index, _| dispatch_index,
+            |_, batch| batch.iter().map(|&(p, seed)| Ok(eval(p, seed))).collect(),
+        )
     }
 
     /// Evaluates the grid in **batch jobs**: points are grouped by
@@ -258,7 +213,9 @@ impl<'c> Sweep<'c> {
     /// exactly one `Result` per point, in order. Cache hits, journal
     /// replays and content-key duplicates are resolved *before*
     /// grouping, so a batch job only ever computes distinct, unresolved
-    /// points.
+    /// points. Each successful lane is written to the cache and then
+    /// acknowledged in the journal from inside the worker, so a
+    /// `kill -9` mid-grid finds every completed point in both.
     ///
     /// An `Err` lane lands in *that point's* record — error message and
     /// failure class, exactly like a scalar failure — without poisoning
@@ -279,6 +236,21 @@ impl<'c> Sweep<'c> {
         G: Fn(&Point) -> String,
         F: Fn(&str, &[(&Point, u64)]) -> Vec<Result<Value, Failure>> + Sync,
     {
+        self.run_groups(
+            |_, point| group(point),
+            |key: &String, batch| eval_batch(key, batch),
+        )
+    }
+
+    /// The one execution path behind [`Sweep::run`] and
+    /// [`Sweep::run_batched`]. `group` receives a point's position in
+    /// the dispatch list and the point itself.
+    fn run_groups<K, G, F>(self, group: G, eval_batch: F) -> RunArtifact
+    where
+        K: Eq + Hash + Clone + Sync,
+        G: Fn(usize, &Point) -> K,
+        F: Fn(&K, &[(&Point, u64)]) -> Vec<Result<Value, Failure>> + Sync,
+    {
         if let Err(msg) = self.spec.validate() {
             panic!("{msg}");
         }
@@ -295,7 +267,7 @@ impl<'c> Sweep<'c> {
         let policy = self.policy;
         let outcomes = self.executor.run_grouped(
             &plan.dispatch,
-            |_, &i| group(&points[i]),
+            |d, &i| group(d, &points[i]),
             |key, members| {
                 if policy.fail_fast && cancel.is_cancelled() {
                     return members.iter().map(|_| Outcome::skipped()).collect();
@@ -328,12 +300,17 @@ impl<'c> Sweep<'c> {
                         .zip(results)
                         .map(|(&(_, &i), result)| match result {
                             Ok(value) => {
+                                // Store, then acknowledge, inside the
+                                // worker: a `kill -9` mid-grid must find
+                                // every completed point already on disk.
+                                if let Some(cache) = self.cache {
+                                    cache.insert(&plan.keys[i], &value);
+                                }
                                 if let Some(journal) = &journal {
                                     journal.append(&plan.keys[i], &value);
                                 }
                                 Outcome {
                                     value,
-                                    cached: false,
                                     error: None,
                                     eval_ms,
                                     attempts,
@@ -360,15 +337,6 @@ impl<'c> Sweep<'c> {
                 }
             },
         );
-        // Publish batch-computed values so later runs (and overlapping
-        // grids) hit the cache exactly as with scalar evaluation.
-        if let Some(cache) = self.cache {
-            for (&i, outcome) in plan.dispatch.iter().zip(&outcomes) {
-                if outcome.error.is_none() {
-                    cache.insert(&plan.keys[i], &outcome.value);
-                }
-            }
-        }
         self.assemble(points, plan, outcomes, journal, started)
     }
 
@@ -401,11 +369,7 @@ impl<'c> Sweep<'c> {
                     // A duplicate of a successful evaluation is a hit
                     // by construction (answered without evaluating);
                     // mirrored failures stay failures.
-                    cached: if mirrored {
-                        outcome.error.is_none()
-                    } else {
-                        outcome.cached
-                    },
+                    cached: mirrored && outcome.error.is_none(),
                     eval_ms: if mirrored { 0.0 } else { outcome.eval_ms },
                     value: outcome.value.clone(),
                     error: outcome.error.clone(),
@@ -431,7 +395,7 @@ impl<'c> Sweep<'c> {
                 }
             } else {
                 // Representative resolved as a cache hit during
-                // planning (run_batched pre-probes the cache).
+                // planning.
                 let value = *hit_of
                     .get(&rep)
                     .expect("a non-dispatched representative is a pre-probed hit or replay");
@@ -484,10 +448,9 @@ impl<'c> Sweep<'c> {
     }
 }
 
-/// One dispatch outcome (shared by scalar and batched evaluation).
+/// The outcome of one dispatched point.
 struct Outcome {
     value: Value,
-    cached: bool,
     error: Option<String>,
     eval_ms: f64,
     attempts: u32,
@@ -499,7 +462,6 @@ impl Outcome {
     fn skipped() -> Outcome {
         Outcome {
             value: Value::Null,
-            cached: false,
             error: Some("skipped: fail-fast stopped the grid after an earlier failure".into()),
             eval_ms: 0.0,
             attempts: 0,
@@ -511,7 +473,6 @@ impl Outcome {
     fn failed(failure: Failure, eval_ms: f64, attempts: u32) -> Outcome {
         Outcome {
             value: Value::Null,
-            cached: false,
             error: Some(failure.message),
             eval_ms,
             attempts,
@@ -532,7 +493,7 @@ struct DispatchPlan {
     representative: Vec<usize>,
     /// Indices dispatched to the evaluator, in enumeration order.
     dispatch: Vec<usize>,
-    /// Pre-probed cache hits (`run_batched` only): `(index, value)`.
+    /// Cache hits resolved before dispatch: `(index, value)`.
     hits: Vec<(usize, Value)>,
     /// Journal replays (`--resume` only): `(index, value)`.
     resumed: Vec<(usize, Value)>,
@@ -589,9 +550,9 @@ impl DispatchPlan {
     }
 
     /// Removes dispatch entries already answered by `cache`, recording
-    /// them as pre-probed hits (used by batched evaluation, which must
-    /// know the full group membership before any evaluation starts).
-    fn probe_cache(&mut self, cache: &crate::cache::ResultCache) {
+    /// them as hits: groups must know their full membership before any
+    /// evaluation starts.
+    fn probe_cache(&mut self, cache: &ResultCache) {
         let keys = &self.keys;
         let hits = &mut self.hits;
         self.dispatch.retain(|&i| match cache.get(&keys[i]) {
@@ -609,6 +570,7 @@ mod tests {
     use super::*;
     use crate::spec::Axis;
     use crate::supervise;
+    use parking_lot::Mutex;
     use std::path::PathBuf;
 
     fn spec() -> SweepSpec {
@@ -656,6 +618,58 @@ mod tests {
         assert_eq!(second.stats.cache_hits, 2);
         assert_eq!(second.stats.evaluated, 1);
         assert_eq!(second.points[2].value, Value::Int(3));
+    }
+
+    #[test]
+    fn serial_worker_stores_each_point_before_the_next_runs() {
+        // The cache write happens in the worker, not after the run: in
+        // a serial run, point i's evaluator already finds point i-1.
+        let cache = ResultCache::new();
+        let grid = SweepSpec::new("s").axis("x", [1i64, 2, 3]);
+        let keys: Vec<String> = grid
+            .points()
+            .iter()
+            .map(|p| content_key("s/v1", &p.canonical()))
+            .collect();
+        let found_previous = Mutex::new(Vec::new());
+        let artifact = Sweep::new(grid).eval_tag("s/v1").cache(&cache).run(|p, _| {
+            let i = usize::try_from(p.i64("x") - 1).unwrap();
+            if i > 0 {
+                found_previous.lock().push(cache.get(&keys[i - 1]));
+            }
+            Value::Int(p.i64("x") * 10)
+        });
+        assert_eq!(artifact.stats.evaluated, 3);
+        assert_eq!(
+            found_previous.into_inner(),
+            vec![Some(Value::Int(10)), Some(Value::Int(20))]
+        );
+    }
+
+    #[test]
+    fn prewarmed_cache_answers_every_point_without_evaluating() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let cache = ResultCache::new();
+        let eval = |p: &Point, _: u64| Value::Float(p.f64("t") * p.i64("d") as f64);
+        let cold = Sweep::new(spec())
+            .eval_tag("unit/v1")
+            .cache(&cache)
+            .run(eval);
+        for threads in [1, 4] {
+            let calls = AtomicUsize::new(0);
+            let warm = Sweep::new(spec())
+                .eval_tag("unit/v1")
+                .cache(&cache)
+                .threads(threads)
+                .run(|p, seed| {
+                    calls.fetch_add(1, Ordering::Relaxed);
+                    eval(p, seed)
+                });
+            assert_eq!(calls.load(Ordering::Relaxed), 0, "threads={threads}");
+            assert_eq!(warm.stats.cache_hits, 4, "threads={threads}");
+            assert_eq!(warm.stats.evaluated, 0, "threads={threads}");
+            assert_eq!(warm.canonical_json(), cold.canonical_json());
+        }
     }
 
     #[test]

@@ -3,8 +3,7 @@
 //! boundaries the way the sweep binary composes them.
 
 use cryowire::experiments::{
-    degraded_sweep_artifact, degraded_sweep_artifact_injected, InjectFaults, SweepOptions,
-    DEGRADED_SCENARIOS,
+    degraded_sweep_artifact, InjectFaults, SweepOptions, DEGRADED_SCENARIOS,
 };
 use cryowire::faults::{FaultEvent, FaultKind, FaultSchedule};
 use cryowire::noc::{
@@ -17,6 +16,14 @@ use std::path::PathBuf;
 
 const FAULT_SEED: u64 = 0xC0FFEE;
 
+/// The four fault scenarios plus the untyped `panic` point.
+fn with_panic() -> InjectFaults {
+    InjectFaults {
+        panic: true,
+        ..InjectFaults::default()
+    }
+}
+
 fn unique_dir(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("cryowire-robustness-{tag}-{}", std::process::id()))
 }
@@ -26,8 +33,9 @@ fn unique_dir(tag: &str) -> PathBuf {
 /// value-identical to the same sweep without the panic point.
 #[test]
 fn injected_panic_is_isolated_and_survivors_match() {
-    let clean = degraded_sweep_artifact(FAULT_SEED, false, SweepOptions::serial());
-    let faulted = degraded_sweep_artifact(FAULT_SEED, true, SweepOptions::threaded(4));
+    let clean =
+        degraded_sweep_artifact(FAULT_SEED, InjectFaults::default(), SweepOptions::serial());
+    let faulted = degraded_sweep_artifact(FAULT_SEED, with_panic(), SweepOptions::threaded(4));
 
     assert!(!clean.has_failures());
     assert_eq!(clean.stats.points, DEGRADED_SCENARIOS.len());
@@ -70,12 +78,18 @@ fn failed_points_never_poison_the_cache() {
     let _ = std::fs::remove_dir_all(&dir);
     let cache = ResultCache::with_dir(&dir).unwrap();
 
-    let first =
-        degraded_sweep_artifact(FAULT_SEED, true, SweepOptions::serial().with_cache(&cache));
+    let first = degraded_sweep_artifact(
+        FAULT_SEED,
+        with_panic(),
+        SweepOptions::serial().with_cache(&cache),
+    );
     assert_eq!(first.stats.failed, 1);
 
-    let second =
-        degraded_sweep_artifact(FAULT_SEED, true, SweepOptions::serial().with_cache(&cache));
+    let second = degraded_sweep_artifact(
+        FAULT_SEED,
+        with_panic(),
+        SweepOptions::serial().with_cache(&cache),
+    );
     assert_eq!(second.stats.failed, 1, "the panic point fails again");
     assert_eq!(
         second.stats.cache_hits,
@@ -95,7 +109,11 @@ fn corrupt_cache_recomputes_identical_artifact() {
 
     let original = {
         let cache = ResultCache::with_dir(&dir).unwrap();
-        degraded_sweep_artifact(FAULT_SEED, false, SweepOptions::serial().with_cache(&cache))
+        degraded_sweep_artifact(
+            FAULT_SEED,
+            InjectFaults::default(),
+            SweepOptions::serial().with_cache(&cache),
+        )
     };
 
     // Tear every entry mid-document.
@@ -111,8 +129,11 @@ fn corrupt_cache_recomputes_identical_artifact() {
     assert!(torn > 0, "the sweep persisted entries to corrupt");
 
     let cache = ResultCache::with_dir(&dir).unwrap();
-    let recomputed =
-        degraded_sweep_artifact(FAULT_SEED, false, SweepOptions::serial().with_cache(&cache));
+    let recomputed = degraded_sweep_artifact(
+        FAULT_SEED,
+        InjectFaults::default(),
+        SweepOptions::serial().with_cache(&cache),
+    );
     assert_eq!(
         cache.stats().quarantined,
         torn,
@@ -138,7 +159,7 @@ fn typed_injections_heal_or_quarantine_in_process() {
     let mut policy = SupervisePolicy::with_retries(2);
     policy.backoff_base = std::time::Duration::from_millis(1);
     let opts = SweepOptions::threaded(2).with_policy(policy);
-    let artifact = degraded_sweep_artifact_injected(FAULT_SEED, inject, opts);
+    let artifact = degraded_sweep_artifact(FAULT_SEED, inject, opts);
 
     assert_eq!(artifact.stats.points, DEGRADED_SCENARIOS.len() + 2);
     assert_eq!(artifact.stats.failed, 1, "only the poison point fails");
@@ -167,7 +188,8 @@ fn typed_injections_heal_or_quarantine_in_process() {
         Some(cryowire_harness::FailureClass::Io)
     );
 
-    let clean = degraded_sweep_artifact(FAULT_SEED, false, SweepOptions::serial());
+    let clean =
+        degraded_sweep_artifact(FAULT_SEED, InjectFaults::default(), SweepOptions::serial());
     for c in &clean.points {
         let s = artifact.points.iter().find(|p| p.key == c.key).unwrap();
         assert_eq!(s.value, c.value);
