@@ -8,6 +8,8 @@
 //! charged the 30 %-of-Carnot cooling overhead. The 300 K end of the
 //! sweep is the Baseline (300K, Mesh) system, as in the paper.
 
+use std::sync::OnceLock;
+
 use cryowire_device::{CoolingModel, OperatingPoint, Temperature};
 use cryowire_memory::MemoryDesign;
 use cryowire_noc::{CryoBus, LinkModel};
@@ -96,6 +98,25 @@ impl Fig27Result {
 /// The temperatures Fig. 27 plots, coldest first.
 pub const FIG27_TEMPERATURES: [f64; 8] = [77.0, 100.0, 125.0, 150.0, 175.0, 200.0, 250.0, 300.0];
 
+/// SPEC geomean performance of `design`.
+fn spec_performance(design: &SystemDesign) -> f64 {
+    let sim = SystemSimulator::new();
+    let spec = Workload::spec();
+    let log_sum: f64 = spec
+        .iter()
+        .map(|w| sim.evaluate(w, design).performance().ln())
+        .sum();
+    (log_sum / spec.len() as f64).exp()
+}
+
+/// The 300 K reference every Fig. 27 point is normalized to: the
+/// Baseline (300K, Mesh) system at device power 1. It does not depend
+/// on the swept temperature, so it is evaluated once per process.
+fn baseline_300k_performance() -> f64 {
+    static BASE: OnceLock<f64> = OnceLock::new();
+    *BASE.get_or_init(|| spec_performance(&SystemDesign::baseline_300k()))
+}
+
 /// Evaluates one temperature point of the Fig. 27 sweep.
 ///
 /// Pure function of `kelvin`, so it can serve as a harness sweep
@@ -107,19 +128,8 @@ pub const FIG27_TEMPERATURES: [f64; 8] = [77.0, 100.0, 125.0, 150.0, 175.0, 200.
 /// Panics if `kelvin` is outside the device model's valid range.
 #[must_use]
 pub fn fig27_point(kelvin: f64) -> TemperaturePoint {
-    let sim = SystemSimulator::new();
     let power_model = CorePowerModel::new();
     let cooling = CoolingModel::paper_default();
-    let spec: Vec<Workload> = Workload::spec();
-
-    let geomean = |v: &[f64]| (v.iter().map(|x| x.ln()).sum::<f64>() / v.len() as f64).exp();
-    let perf_of = |design: &SystemDesign| {
-        let v: Vec<f64> = spec
-            .iter()
-            .map(|w| sim.evaluate(w, design).performance())
-            .collect();
-        geomean(&v)
-    };
 
     let cryo_spec = CoreDesign::CryoSp.spec();
     let base_spec = CoreDesign::Baseline300K.spec();
@@ -139,8 +149,6 @@ pub fn fig27_point(kelvin: f64) -> TemperaturePoint {
     }
 
     let t = Temperature::new(k).expect("sweep temperatures are valid");
-    // 300 K reference: the Baseline (300K, Mesh) system at device power 1.
-    let base_perf = perf_of(&SystemDesign::baseline_300k());
     let lerp = |t: f64, cold: f64, hot: f64| {
         cold + (hot - cold) * ((t - 77.0) / (300.0 - 77.0)).clamp(0.0, 1.0)
     };
@@ -159,7 +167,7 @@ pub fn fig27_point(kelvin: f64) -> TemperaturePoint {
         .with_noc(SystemNoc::CryoBus {
             bus: CryoBus::try_new_at_clock(64, t, 1, bus_clock).expect("valid sweep CryoBus"),
         });
-    let perf = perf_of(&design) / base_perf;
+    let perf = spec_performance(&design) / baseline_300k_performance();
     let p = power_model.power_at(CoreDesign::CryoSp, t, OperatingPoint { v_dd, v_th }, f);
     let total = p.total();
     TemperaturePoint {

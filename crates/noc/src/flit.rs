@@ -8,8 +8,18 @@
 //! the snooping comparison carries.
 //!
 //! The engine is used to cross-validate the cheaper reservation model
-//! (see the `flit_vs_reservation` tests and the ablation experiment in
-//! the facade crate).
+//! (see `ablations::tests::engines_agree_at_low_load` and the ablation
+//! experiment in the facade crate). It has no frozen reference engine:
+//! the golden table in `tests/flit_golden.rs` pins its exact output.
+//!
+//! All topology work happens once, in [`FlitNetwork::new`]: a flat
+//! next-hop table, and for every port the port at the other end of its
+//! link. Each cycle then works only where flits are. Every input VC keeps
+//! its head flit's wanted output and eligible cycle, each output counts
+//! the heads that want it, and each router counts its buffered flits, so
+//! switch allocation skips idle routers and idle outputs outright. The
+//! buffers, credits and injection queues are reset in place, so a reused
+//! network runs without allocating.
 
 use std::collections::VecDeque;
 
@@ -20,6 +30,9 @@ use crate::error::NocError;
 use crate::router::RouterClass;
 use crate::topology::{NocKind, Topology};
 use crate::traffic::TrafficPattern;
+
+/// No port: the local port's peer, and the wanted output of an empty VC.
+const NONE: usize = usize::MAX;
 
 /// Configuration of a flit-level network.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -53,49 +66,34 @@ impl FlitConfig {
     }
 }
 
-/// One flit in flight.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// One flit buffered at a router input VC.
+#[derive(Debug, Clone, Copy, Default)]
 struct Flit {
-    packet: u64,
+    /// Cycle the flit becomes eligible for switch allocation (models the
+    /// router pipeline depth).
+    ready: u64,
+    injected_at: u64,
     dst_router: usize,
     is_tail: bool,
+}
+
+/// A packet waiting at its source for space in the local injection VC.
+#[derive(Debug, Clone, Copy)]
+struct Pending {
+    dst_router: usize,
     injected_at: u64,
+    /// Flits not yet injected.
+    flits_left: usize,
 }
 
-/// Per-input-port state: one FIFO per VC plus the cycle each head flit
-/// becomes eligible (models the router pipeline depth).
-#[derive(Debug, Clone, Default)]
-struct InputVc {
-    /// Buffered flits with the cycle each becomes eligible for switch
-    /// allocation (models the router pipeline depth).
-    queue: VecDeque<(Flit, u64)>,
-}
-
-/// A directed channel between two routers (or to the local ejection port).
-#[derive(Debug, Clone)]
-struct Channel {
-    /// Destination router (None = ejection).
-    dst_router: Option<usize>,
-    /// Credits available per downstream VC.
-    credits: Vec<usize>,
-    /// Flits in flight on the wire: (arrival cycle, flit, downstream vc).
-    in_flight: VecDeque<(u64, Flit, usize)>,
-    /// Wire latency in cycles.
-    latency: u64,
-}
-
-/// A router with dynamic port lists.
-#[derive(Debug, Clone)]
-struct Router {
-    /// Input ports (index 0 = local injection).
-    inputs: Vec<Vec<InputVc>>,
-    /// Output channels (index 0 = local ejection), aligned with
-    /// `neighbors`.
-    outputs: Vec<Channel>,
-    /// Router id of each output's destination (usize::MAX for ejection).
-    out_dst: Vec<usize>,
-    /// Round-robin pointers per output port.
-    rr: Vec<usize>,
+/// One input-VC FIFO: a fixed-capacity ring window of
+/// [`FlitNetwork::flits`].
+#[derive(Debug, Clone, Copy)]
+struct Ring {
+    base: usize,
+    cap: usize,
+    head: usize,
+    len: usize,
 }
 
 /// Result of a flit-level run.
@@ -114,13 +112,111 @@ pub struct FlitSimResult {
 }
 
 /// The flit-level network simulator.
+///
+/// Ports are numbered globally: router `r` owns ports
+/// `port_base[r]..port_base[r + 1]`, its port 0 being the local
+/// injection/ejection port and the rest one per neighbour (each port is
+/// both an input and an output). Input VC `vc` of global port `p` is
+/// slot `p * vcs + vc`, so a router's slots are contiguous and in the
+/// (input, VC) order its round-robin arbiters scan.
 #[derive(Debug, Clone)]
 pub struct FlitNetwork {
     config: FlitConfig,
     topo: Topology,
     router_grid: Topology,
-    routers: Vec<Router>,
-    concentration: usize,
+
+    /// Router serving each core.
+    core_router: Vec<usize>,
+    /// First global port of each router, plus the total port count.
+    port_base: Vec<usize>,
+    /// Router owning each global port.
+    port_router: Vec<usize>,
+    /// `route[rid * routers + dst]`: router-local output port at `rid`
+    /// toward router `dst` (0 = ejection).
+    route: Vec<usize>,
+    /// Global port at the far end of each port's link ([`NONE`] for
+    /// local ports). Links are symmetric, so one table serves both
+    /// directions: output `p` delivers into input `peer[p]`, and a flit
+    /// leaving input `p` returns its credit to output `peer[p]`.
+    peer: Vec<usize>,
+
+    /// Every input-VC buffer, one ring window per slot.
+    flits: Vec<Flit>,
+    /// Per slot: its ring.
+    rings: Vec<Ring>,
+    /// Per slot: the router-local output its head flit wants ([`NONE`]
+    /// when empty), and the cycle that head becomes eligible.
+    head_out: Vec<usize>,
+    head_ready: Vec<u64>,
+    /// Per global output port: head flits that want it.
+    demand: Vec<usize>,
+    /// Per router: flits buffered at its inputs.
+    buffered: Vec<usize>,
+    /// Per global output port × VC: credits for the downstream buffer.
+    credits: Vec<usize>,
+    /// Per global output port: round-robin pointer (router-local slot).
+    rr: Vec<usize>,
+    /// Per core: packets waiting for the local injection VC.
+    pending: Vec<VecDeque<Pending>>,
+}
+
+/// Output neighbours of router `id`, in port order (ports 1..).
+fn neighbors(kind: NocKind, grid: &Topology, id: usize) -> Vec<usize> {
+    let side = grid.side();
+    let (x, y) = grid.coords(id);
+    match kind {
+        // Fully connected within row and column.
+        NocKind::FlattenedButterfly => (0..side)
+            .filter(|&nx| nx != x)
+            .map(|nx| grid.node_at(nx, y))
+            .chain(
+                (0..side)
+                    .filter(|&ny| ny != y)
+                    .map(|ny| grid.node_at(x, ny)),
+            )
+            .collect(),
+        _ => {
+            let mut out = Vec::with_capacity(4);
+            if x + 1 < side {
+                out.push(grid.node_at(x + 1, y));
+            }
+            if x > 0 {
+                out.push(grid.node_at(x - 1, y));
+            }
+            if y + 1 < side {
+                out.push(grid.node_at(x, y + 1));
+            }
+            if y > 0 {
+                out.push(grid.node_at(x, y - 1));
+            }
+            out
+        }
+    }
+}
+
+/// Dimension-ordered (X first) next router from `router` toward a
+/// different router `dst`.
+fn next_hop(kind: NocKind, grid: &Topology, router: usize, dst: usize) -> usize {
+    let (x, y) = grid.coords(router);
+    let (dx, dy) = grid.coords(dst);
+    match kind {
+        NocKind::FlattenedButterfly => {
+            if x != dx {
+                grid.node_at(dx, y)
+            } else {
+                grid.node_at(x, dy)
+            }
+        }
+        _ => {
+            if x != dx {
+                let nx = if dx > x { x + 1 } else { x - 1 };
+                grid.node_at(nx, y)
+            } else {
+                let ny = if dy > y { y + 1 } else { y - 1 };
+                grid.node_at(x, ny)
+            }
+        }
+    }
 }
 
 impl FlitNetwork {
@@ -142,128 +238,175 @@ impl FlitNetwork {
             _ => 4,
         };
         let router_grid = Topology::square(config.nodes / concentration)?;
-        let mut net = FlitNetwork {
+        let routers = router_grid.nodes();
+        let core_router = (0..config.nodes)
+            .map(|core| {
+                if concentration == 1 {
+                    return core;
+                }
+                let (x, y) = topo.coords(core);
+                router_grid.node_at(x / 2, y / 2)
+            })
+            .collect();
+
+        // Per router: the router each port links to (port 0 = local).
+        let links: Vec<Vec<usize>> = (0..routers)
+            .map(|id| {
+                let mut ports = vec![NONE];
+                ports.extend(neighbors(config.kind, &router_grid, id));
+                ports
+            })
+            .collect();
+        let port_to = |at: usize, toward: usize| {
+            links[at]
+                .iter()
+                .position(|&d| d == toward)
+                .expect("topology is connected and channels are symmetric")
+        };
+        let mut port_base = vec![0];
+        for ports in &links {
+            port_base.push(port_base[port_base.len() - 1] + ports.len());
+        }
+        let n_ports = port_base[routers];
+        let mut port_router = vec![0; n_ports];
+        let mut peer = vec![NONE; n_ports];
+        for (rid, ports) in links.iter().enumerate() {
+            for (p, &to) in ports.iter().enumerate() {
+                port_router[port_base[rid] + p] = rid;
+                if to != NONE {
+                    peer[port_base[rid] + p] = port_base[to] + port_to(to, rid);
+                }
+            }
+        }
+        let mut route = vec![0; routers * routers];
+        for rid in 0..routers {
+            for dst in (0..routers).filter(|&d| d != rid) {
+                route[rid * routers + dst] =
+                    port_to(rid, next_hop(config.kind, &router_grid, rid, dst));
+            }
+        }
+
+        // Non-local VCs hold at most `vc_buffer_flits` (credit flow
+        // control); the local port injects into VC 0 only, up to the
+        // whole input's `vcs * vc_buffer_flits`.
+        let vcs = config.vcs;
+        let mut rings = Vec::with_capacity(n_ports * vcs);
+        let mut base = 0;
+        for &far in &peer {
+            let local = far == NONE;
+            for vc in 0..vcs {
+                let cap = match (local, vc) {
+                    (false, _) => config.vc_buffer_flits,
+                    (true, 0) => vcs * config.vc_buffer_flits,
+                    (true, _) => 0,
+                };
+                rings.push(Ring {
+                    base,
+                    cap,
+                    head: 0,
+                    len: 0,
+                });
+                base += cap;
+            }
+        }
+
+        Ok(FlitNetwork {
             config,
             topo,
             router_grid,
-            routers: Vec::new(),
-            concentration,
-        };
-        net.build_routers();
-        Ok(net)
+            core_router,
+            port_base,
+            port_router,
+            route,
+            peer,
+            flits: vec![Flit::default(); base],
+            rings,
+            head_out: vec![NONE; n_ports * vcs],
+            head_ready: vec![0; n_ports * vcs],
+            demand: vec![0; n_ports],
+            buffered: vec![0; routers],
+            credits: vec![config.vc_buffer_flits; n_ports * vcs],
+            rr: vec![0; n_ports],
+            pending: vec![VecDeque::new(); config.nodes],
+        })
     }
 
-    fn build_routers(&mut self) {
-        let r = self.router_grid.nodes();
-        let side = self.router_grid.side();
-        let mut routers = Vec::with_capacity(r);
-        for id in 0..r {
-            let (x, y) = self.router_grid.coords(id);
-            // Output 0 = ejection; then neighbors.
-            let mut out_dst = vec![usize::MAX];
-            match self.config.kind {
-                NocKind::FlattenedButterfly => {
-                    // Fully connected within row and column.
-                    for nx in 0..side {
-                        if nx != x {
-                            out_dst.push(self.router_grid.node_at(nx, y));
-                        }
-                    }
-                    for ny in 0..side {
-                        if ny != y {
-                            out_dst.push(self.router_grid.node_at(x, ny));
-                        }
-                    }
-                }
-                _ => {
-                    if x + 1 < side {
-                        out_dst.push(self.router_grid.node_at(x + 1, y));
-                    }
-                    if x > 0 {
-                        out_dst.push(self.router_grid.node_at(x - 1, y));
-                    }
-                    if y + 1 < side {
-                        out_dst.push(self.router_grid.node_at(x, y + 1));
-                    }
-                    if y > 0 {
-                        out_dst.push(self.router_grid.node_at(x, y - 1));
-                    }
-                }
-            }
-            let n_out = out_dst.len();
-            // Inputs: local injection + one per incoming channel (same
-            // neighbor set, symmetric topologies).
-            let n_in = n_out;
-            let inputs = (0..n_in)
-                .map(|_| (0..self.config.vcs).map(|_| InputVc::default()).collect())
-                .collect();
-            let outputs = out_dst
-                .iter()
-                .map(|&dst| Channel {
-                    dst_router: (dst != usize::MAX).then_some(dst),
-                    credits: vec![self.config.vc_buffer_flits; self.config.vcs],
-                    in_flight: VecDeque::new(),
-                    latency: 1,
-                })
-                .collect();
-            routers.push(Router {
-                inputs,
-                outputs,
-                out_dst,
-                rr: vec![0; n_out],
-            });
+    /// Empties every buffer and restores credits and arbiters, keeping
+    /// all allocations.
+    fn reset(&mut self) {
+        for ring in &mut self.rings {
+            ring.head = 0;
+            ring.len = 0;
         }
-        self.routers = routers;
-    }
-
-    fn router_of(&self, core: usize) -> usize {
-        if self.concentration == 1 {
-            return core;
+        self.head_out.fill(NONE);
+        self.demand.fill(0);
+        self.buffered.fill(0);
+        self.credits.fill(self.config.vc_buffer_flits);
+        self.rr.fill(0);
+        for queue in &mut self.pending {
+            queue.clear();
         }
-        let (x, y) = self.topo.coords(core);
-        self.router_grid.node_at(x / 2, y / 2)
     }
 
-    /// Next-hop output port at `router` toward `dst_router`.
-    fn route(&self, router: usize, dst_router: usize) -> usize {
-        if router == dst_router {
-            return 0; // ejection
+    /// Makes `flit` the head of input-VC `slot` at router `rid`.
+    fn set_head(&mut self, rid: usize, slot: usize, flit: Flit) {
+        let out = self.route[rid * self.router_grid.nodes() + flit.dst_router];
+        self.head_out[slot] = out;
+        self.head_ready[slot] = flit.ready;
+        self.demand[self.port_base[rid] + out] += 1;
+    }
+
+    /// Appends `flit` to input-VC `slot` at router `rid`.
+    fn push(&mut self, rid: usize, slot: usize, flit: Flit) {
+        let ring = &mut self.rings[slot];
+        debug_assert!(ring.len < ring.cap, "credits bound every VC buffer");
+        let mut at = ring.head + ring.len;
+        if at >= ring.cap {
+            at -= ring.cap;
         }
-        let (x, y) = self.router_grid.coords(router);
-        let (dx, dy) = self.router_grid.coords(dst_router);
-        let next = match self.config.kind {
-            NocKind::FlattenedButterfly => {
-                if x != dx {
-                    self.router_grid.node_at(dx, y)
-                } else {
-                    self.router_grid.node_at(x, dy)
-                }
-            }
-            _ => {
-                if x != dx {
-                    let nx = if dx > x { x + 1 } else { x - 1 };
-                    self.router_grid.node_at(nx, y)
-                } else {
-                    let ny = if dy > y { y + 1 } else { y - 1 };
-                    self.router_grid.node_at(x, ny)
-                }
-            }
-        };
-        self.routers[router]
-            .out_dst
-            .iter()
-            .position(|&d| d == next)
-            .expect("topology is connected")
+        self.flits[ring.base + at] = flit;
+        ring.len += 1;
+        self.buffered[rid] += 1;
+        if ring.len == 1 {
+            self.set_head(rid, slot, flit);
+        }
     }
 
-    /// Input-port index at `dst` for flits arriving from `src` — mirrors
-    /// the output list (port 0 is local).
-    fn input_port_at(&self, dst: usize, src: usize) -> usize {
-        self.routers[dst]
-            .out_dst
-            .iter()
-            .position(|&d| d == src)
-            .expect("channels are symmetric")
+    /// Pops the head of input-VC `slot` at router `rid`, exposing the
+    /// next flit (if any) to the outputs still to allocate this cycle.
+    fn pop(&mut self, rid: usize, slot: usize) -> Flit {
+        let ring = &mut self.rings[slot];
+        let flit = self.flits[ring.base + ring.head];
+        ring.head += 1;
+        if ring.head == ring.cap {
+            ring.head = 0;
+        }
+        ring.len -= 1;
+        let next = (ring.len > 0).then(|| self.flits[ring.base + ring.head]);
+        self.buffered[rid] -= 1;
+        self.demand[self.port_base[rid] + self.head_out[slot]] -= 1;
+        match next {
+            Some(next) => self.set_head(rid, slot, next),
+            None => self.head_out[slot] = NONE,
+        }
+        flit
+    }
+
+    /// Round-robin switch allocation for output `out` of router `rid`:
+    /// the first router-local slot, from the output's pointer on, whose
+    /// head flit is eligible, wants `out`, and has a downstream credit
+    /// (ejection is an infinite sink).
+    fn arbitrate(&self, rid: usize, out: usize, cycle: u64) -> Option<usize> {
+        let vcs = self.config.vcs;
+        let gout = self.port_base[rid] + out;
+        let slots = self.port_base[rid] * vcs..self.port_base[rid + 1] * vcs;
+        let head_out = &self.head_out[slots.clone()];
+        let head_ready = &self.head_ready[slots];
+        let credits = &self.credits[gout * vcs..(gout + 1) * vcs];
+        let start = self.rr[gout];
+        (start..head_out.len()).chain(0..start).find(|&idx| {
+            head_out[idx] == out && head_ready[idx] <= cycle && (out == 0 || credits[idx % vcs] > 0)
+        })
     }
 
     /// Runs the simulation.
@@ -271,7 +414,6 @@ impl FlitNetwork {
     /// # Errors
     ///
     /// Returns [`NocError::InvalidInjectionRate`] for rates outside [0, 1].
-    #[allow(clippy::needless_range_loop)] // `src` indexes two structures
     pub fn run(
         &mut self,
         pattern: TrafficPattern,
@@ -284,152 +426,115 @@ impl FlitNetwork {
             return Err(NocError::InvalidInjectionRate { rate });
         }
         pattern.validate(&self.topo)?;
-        self.build_routers(); // reset state
+        self.reset();
         let mut rng = StdRng::seed_from_u64(seed);
         let pipeline = self.config.class.cycles();
-        let mut next_packet: u64 = 0;
+        let vcs = self.config.vcs;
+        let injection_cap = vcs * self.config.vc_buffer_flits;
+        let routers = self.router_grid.nodes();
+        let mut generated: u64 = 0;
         let mut total_latency: u64 = 0;
         let mut measured: u64 = 0;
         let mut in_network: u64 = 0;
-        // Per-node pending injection queue (packets waiting for VC space).
-        let mut pending: Vec<VecDeque<Flit>> = vec![VecDeque::new(); self.topo.nodes()];
         let mut zero_latency_sum: f64 = 0.0;
 
         for cycle in 0..cycles {
-            // 1. Generate new packets.
+            // 1. Generate new packets: one gate draw per node, then the
+            //    pattern's destination draws.
             let p = rate * pattern.burst_scale(cycle);
             for src in 0..self.topo.nodes() {
                 if rng.gen::<f64>() < p {
                     let dst = pattern.destination(src, &self.topo, &mut rng);
-                    let dst_router = self.router_of(dst);
-                    let id = next_packet;
-                    next_packet += 1;
-                    for f in 0..self.config.packet_flits {
-                        pending[src].push_back(Flit {
-                            packet: id,
+                    let dst_router = self.core_router[dst];
+                    if self.config.packet_flits > 0 {
+                        self.pending[src].push_back(Pending {
                             dst_router,
-                            is_tail: f == self.config.packet_flits - 1,
                             injected_at: cycle,
+                            flits_left: self.config.packet_flits,
                         });
                     }
+                    generated += 1;
                     in_network += 1;
                     zero_latency_sum += self
                         .router_grid
-                        .manhattan_hops(self.router_of(src), dst_router)
+                        .manhattan_hops(self.core_router[src], dst_router)
                         as f64;
                 }
             }
 
             // 2. Inject pending flits into the local input VC 0 if space.
             for src in 0..self.topo.nodes() {
-                let router = self.router_of(src);
-                while let Some(&flit) = pending[src].front() {
-                    let vc = &mut self.routers[router].inputs[0][0];
-                    if vc.queue.len() < self.config.vc_buffer_flits * self.config.vcs {
-                        vc.queue.push_back((flit, cycle + pipeline));
-                        pending[src].pop_front();
+                let rid = self.core_router[src];
+                let slot = self.port_base[rid] * vcs;
+                while let Some(packet) = self.pending[src].front_mut() {
+                    if self.rings[slot].len >= injection_cap {
+                        break;
+                    }
+                    packet.flits_left -= 1;
+                    let flit = Flit {
+                        ready: cycle + pipeline,
+                        injected_at: packet.injected_at,
+                        dst_router: packet.dst_router,
+                        is_tail: packet.flits_left == 0,
+                    };
+                    if flit.is_tail {
+                        self.pending[src].pop_front();
+                    }
+                    self.push(rid, slot, flit);
+                }
+            }
+
+            // 3. Switch allocation: each output of each busy router picks
+            //    one eligible (input, VC) head flit, round-robin, in
+            //    router then output order.
+            for rid in 0..routers {
+                if self.buffered[rid] == 0 {
+                    continue;
+                }
+                let first_port = self.port_base[rid];
+                let n_slots = (self.port_base[rid + 1] - first_port) * vcs;
+                for out in 0..self.port_base[rid + 1] - first_port {
+                    let gout = first_port + out;
+                    if self.demand[gout] == 0 {
+                        continue;
+                    }
+                    let Some(idx) = self.arbitrate(rid, out, cycle) else {
+                        continue;
+                    };
+                    self.rr[gout] = (idx + 1) % n_slots;
+                    let (inp, vc) = (idx / vcs, idx % vcs);
+                    let flit = self.pop(rid, first_port * vcs + idx);
+                    if inp != 0 {
+                        // Credit return: the freed buffer slot belongs to
+                        // the upstream output feeding input `inp`.
+                        self.credits[self.peer[first_port + inp] * vcs + vc] += 1;
+                    }
+                    if out == 0 {
+                        // Ejection over a 1-cycle link: the packet leaves
+                        // on its tail flit, next cycle, if the run lasts.
+                        if flit.is_tail && cycle + 1 < cycles {
+                            in_network -= 1;
+                            if flit.injected_at >= warmup {
+                                total_latency += cycle + 1 - flit.injected_at;
+                                measured += 1;
+                            }
+                        }
                     } else {
-                        break;
-                    }
-                }
-            }
-
-            // 3. Deliver in-flight flits that arrive this cycle.
-            for rid in 0..self.routers.len() {
-                for out in 0..self.routers[rid].outputs.len() {
-                    while let Some(&(arrival, flit, vc)) =
-                        self.routers[rid].outputs[out].in_flight.front()
-                    {
-                        if arrival > cycle {
-                            break;
-                        }
-                        self.routers[rid].outputs[out].in_flight.pop_front();
-                        match self.routers[rid].outputs[out].dst_router {
-                            Some(dst) => {
-                                let port = self.input_port_at(dst, rid);
-                                self.routers[dst].inputs[port][vc]
-                                    .queue
-                                    .push_back((flit, cycle + pipeline));
-                            }
-                            None => {
-                                // Ejection: packet leaves on its tail flit.
-                                if flit.is_tail {
-                                    in_network = in_network.saturating_sub(1);
-                                    if flit.injected_at >= warmup {
-                                        total_latency += cycle - flit.injected_at;
-                                        measured += 1;
-                                    }
-                                }
-                                // Ejection frees no credits (infinite sink).
-                            }
-                        }
-                    }
-                }
-            }
-
-            // 4. Switch allocation: each output picks one eligible
-            //    (input, vc) head flit, round-robin.
-            for rid in 0..self.routers.len() {
-                let n_out = self.routers[rid].outputs.len();
-                let n_in = self.routers[rid].inputs.len();
-                let vcs = self.config.vcs;
-                for out in 0..n_out {
-                    let start = self.routers[rid].rr[out];
-                    let mut winner: Option<(usize, usize)> = None;
-                    for k in 0..(n_in * vcs) {
-                        let idx = (start + k) % (n_in * vcs);
-                        let (inp, vc) = (idx / vcs, idx % vcs);
-                        let ivc = &self.routers[rid].inputs[inp][vc];
-                        let Some(&(flit, eligible)) = ivc.queue.front() else {
-                            continue;
-                        };
-                        if eligible > cycle {
-                            continue;
-                        }
-                        // Route (recomputed per flit; packets here are
-                        // short, so per-flit routing equals wormhole).
-                        let want = self.route(rid, flit.dst_router);
-                        if want != out {
-                            continue;
-                        }
-                        // VC allocation on the output: reuse the same VC
-                        // index downstream; need a credit (ejection
-                        // always has credit).
-                        let has_credit = self.routers[rid].outputs[out].dst_router.is_none()
-                            || self.routers[rid].outputs[out].credits[vc] > 0;
-                        if !has_credit {
-                            continue;
-                        }
-                        winner = Some((inp, vc));
-                        self.routers[rid].rr[out] = (idx + 1) % (n_in * vcs);
-                        break;
-                    }
-                    if let Some((inp, vc)) = winner {
-                        let (flit, _) = self.routers[rid].inputs[inp][vc]
-                            .queue
-                            .pop_front()
-                            .expect("winner has a flit");
-                        let latency = self.routers[rid].outputs[out].latency;
-                        if self.routers[rid].outputs[out].dst_router.is_some() {
-                            self.routers[rid].outputs[out].credits[vc] -= 1;
-                        }
-                        self.routers[rid].outputs[out].in_flight.push_back((
-                            cycle + latency,
-                            flit,
-                            vc,
-                        ));
-                        // Credit return: the buffer slot this flit just
-                        // freed belongs to the upstream channel feeding
-                        // input `inp` (port 0 is local injection).
-                        if inp != 0 {
-                            let upstream = self.routers[rid].out_dst[inp];
-                            let up_out = self.routers[upstream]
-                                .out_dst
-                                .iter()
-                                .position(|&d| d == rid)
-                                .expect("channels are symmetric");
-                            self.routers[upstream].outputs[up_out].credits[vc] += 1;
-                        }
+                        // Same VC index downstream. The 1-cycle link
+                        // delivers next cycle; buffering the flit now is
+                        // equivalent, as it cannot become eligible before
+                        // `cycle + 1 + pipeline` and sits behind any flit
+                        // already in that VC.
+                        self.credits[gout * vcs + vc] -= 1;
+                        let down = self.peer[gout];
+                        self.push(
+                            self.port_router[down],
+                            down * vcs + vc,
+                            Flit {
+                                ready: cycle + 1 + pipeline,
+                                ..flit
+                            },
+                        );
                     }
                 }
             }
@@ -440,15 +545,14 @@ impl FlitNetwork {
         } else {
             total_latency as f64 / measured as f64
         };
-        let zero_load = if next_packet == 0 {
+        let zero_load = if generated == 0 {
             1.0
         } else {
-            (zero_latency_sum / next_packet as f64 + 1.0)
-                * (self.config.class.cycles() as f64 + 1.0)
+            (zero_latency_sum / generated as f64 + 1.0) * (pipeline as f64 + 1.0)
         };
-        let saturated = measured == 0 && next_packet > 0
+        let saturated = measured == 0 && generated > 0
             || avg_latency > 12.0 * zero_load
-            || in_network > next_packet / 2;
+            || in_network > generated / 2;
         Ok(FlitSimResult {
             offered_rate: rate,
             avg_latency,

@@ -1,16 +1,20 @@
 //! Counting-allocator proof that the steady-state hot loops allocate
 //! nothing: after one warm-up run populates the scratch (route arena +
 //! free vector), a further fault-free run must perform **zero** heap
-//! allocations. Kept in its own integration-test binary (one test
-//! function, so no concurrent test can perturb the global counter) so
-//! the allocator hook does not interfere with other suites.
+//! allocations. The same holds for a reused flit-level network, whose
+//! `run` resets its buffers and injection queues in place. Kept in its
+//! own integration-test binary (one test function, so no concurrent test
+//! can perturb the global counter) so the allocator hook does not
+//! interfere with other suites.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use cryowire_device::Temperature;
 use cryowire_faults::FaultSchedule;
-use cryowire_noc::{CryoBus, SimConfig, SimScratch, Simulator, TrafficPattern};
+use cryowire_noc::{
+    CryoBus, FlitConfig, FlitNetwork, RouterClass, SimConfig, SimScratch, Simulator, TrafficPattern,
+};
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
@@ -84,5 +88,25 @@ fn steady_state_hot_loop_allocates_nothing() {
         after - before,
         0,
         "steady-state run_with_scratch must not allocate"
+    );
+
+    // Flit-level engine: the first run sizes the injection queues; a
+    // second run on the same network must reuse everything.
+    let mut flit = FlitNetwork::new(FlitConfig::table4_mesh64(RouterClass::OneCycle))
+        .expect("valid flit config");
+    let warm = flit
+        .run(TrafficPattern::UniformRandom, 0.05, 4_000, 1_000, 7)
+        .expect("valid run");
+    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let steady = flit
+        .run(TrafficPattern::UniformRandom, 0.05, 4_000, 1_000, 7)
+        .expect("valid run");
+    let after = ALLOCATIONS.load(Ordering::SeqCst);
+
+    assert_eq!(warm, steady, "a reused flit network must reset completely");
+    assert_eq!(
+        after - before,
+        0,
+        "a reused FlitNetwork::run must not allocate"
     );
 }
