@@ -727,6 +727,28 @@ mod tests {
     }
 
     #[test]
+    fn coherence_grid_matches_pinned_artifact() {
+        // Recorded from the engine-grouped evaluator that preceded
+        // per-point dispatch: the canonical artifact at 64 accesses/core
+        // must stay byte-identical. The per-point cycle counts name the
+        // diverging point when the hash moves.
+        let artifact = coherence_sweep_artifact(64, SweepOptions::serial());
+        let cycles: Vec<u64> = artifact
+            .points
+            .iter()
+            .map(|r| r.value.get("cycles").and_then(Value::as_u64).unwrap())
+            .collect();
+        assert_eq!(cycles, PINNED_COHERENCE_CYCLES);
+        let hash = cryowire_harness::stable_hash64(artifact.canonical_json().as_bytes());
+        assert_eq!(hash, PINNED_COHERENCE_HASH, "got {hash:#018x}");
+    }
+
+    const PINNED_COHERENCE_CYCLES: [u64; 12] = [
+        10193, 10193, 10193, 10193, 12061, 12061, 12061, 12061, 10116, 10116, 10116, 10116,
+    ];
+    const PINNED_COHERENCE_HASH: u64 = 0xfd4e_6858_199a_72f9;
+
+    #[test]
     fn coherence_grid_resumes_from_journal_byte_identically() {
         let accesses = 64;
         let dir =
