@@ -6,85 +6,49 @@
 //! cargo run --release --bin experiment -- fig21 --full
 //! ```
 
-use cryowire::experiments::{self, Fidelity};
+use cryowire::experiments::*;
 use cryowire::Report;
 
-const IDS: &[&str] = &[
-    "fig2",
-    "fig3",
-    "fig5",
-    "fig9",
-    "fig10",
-    "fig12",
-    "fig13",
-    "fig14",
-    "tab1",
-    "tab3",
-    "tab4",
-    "fig16",
-    "fig17",
-    "fig18",
-    "fig20",
-    "fig21",
-    "fig22",
-    "fig23",
-    "fig24",
-    "fig25",
-    "fig26",
-    "fig27",
-    "abl-bus",
-    "abl-ways",
-    "abl-ff",
-    "abl-alu",
-    "abl-thick",
-    "abl-depth",
-    "abl-engine",
-    "abl-core-engine",
-    "abl-ipc",
-    "abl-coherence",
-    "cpi-sim",
-    "summary",
-];
+/// Runs one experiment at a given fidelity.
+type Run = fn(Fidelity) -> Report;
 
-fn run(id: &str, fidelity: Fidelity) -> Option<Report> {
-    Some(match id {
-        "fig2" => experiments::fig02_stage_breakdown().report(),
-        "fig3" => experiments::fig03_cpi_stacks().report(),
-        "fig5" => experiments::fig05_wire_speedup().report(),
-        "fig9" => experiments::fig09_validation().report(),
-        "fig10" => experiments::fig10_link_validation().report(),
-        "fig12" => experiments::fig12_critical_path_300k().report(),
-        "fig13" => experiments::fig13_critical_path_77k().report(),
-        "fig14" => experiments::fig14_superpipelined().report(),
-        "tab1" => experiments::tab01_floorplan().report(),
-        "tab3" => experiments::tab03_core_specs().report(),
-        "tab4" => experiments::tab04_setup(),
-        "fig16" => experiments::fig16_llc_latency().report(),
-        "fig17" => experiments::fig17_bus_vs_mesh().report(),
-        "fig18" => experiments::fig18_bus_load_latency(fidelity).report(),
-        "fig20" => experiments::fig20_bus_latency_breakdown().report(),
-        "fig21" => experiments::fig21_noc_load_latency(fidelity).report(),
-        "fig22" => experiments::fig22_noc_power().report(),
-        "fig23" => experiments::fig23_system_performance(fidelity).report(),
-        "fig24" => experiments::fig24_spec_prefetch(fidelity).report(),
-        "fig25" => experiments::fig25_traffic_patterns(fidelity).report(),
-        "fig26" => experiments::fig26_hybrid_256(fidelity).report(),
-        "fig27" => experiments::fig27_temperature_sweep().report(),
-        "abl-bus" => experiments::ablation_bus_topology().report(),
-        "abl-ways" => experiments::ablation_interleaving().report(),
-        "abl-ff" => experiments::ablation_ff_overhead().report(),
-        "abl-alu" => experiments::ablation_alu_count().report(),
-        "abl-thick" => experiments::ablation_wire_thickness().report(),
-        "abl-depth" => experiments::ablation_depth_sweep().report(),
-        "abl-engine" => experiments::ablation_engine_comparison().report(),
-        "abl-core-engine" => experiments::ablation_core_engine().report(),
-        "abl-ipc" => experiments::ipc_cross_validation().report(),
-        "cpi-sim" => experiments::cpi_stack_cycle_level().report(),
-        "abl-coherence" => experiments::coherence_cross_validation().report(),
-        "summary" => experiments::headline_summary(fidelity).report(),
-        _ => return None,
-    })
-}
+/// Every experiment id, in `list` order, with the function that runs it.
+const EXPERIMENTS: &[(&str, Run)] = &[
+    ("fig2", |_| fig02_stage_breakdown().report()),
+    ("fig3", |_| fig03_cpi_stacks().report()),
+    ("fig5", |_| fig05_wire_speedup().report()),
+    ("fig9", |_| fig09_validation().report()),
+    ("fig10", |_| fig10_link_validation().report()),
+    ("fig12", |_| fig12_critical_path_300k().report()),
+    ("fig13", |_| fig13_critical_path_77k().report()),
+    ("fig14", |_| fig14_superpipelined().report()),
+    ("tab1", |_| tab01_floorplan().report()),
+    ("tab3", |_| tab03_core_specs().report()),
+    ("tab4", |_| tab04_setup()),
+    ("fig16", |_| fig16_llc_latency().report()),
+    ("fig17", |_| fig17_bus_vs_mesh().report()),
+    ("fig18", |f| fig18_bus_load_latency(f).report()),
+    ("fig20", |_| fig20_bus_latency_breakdown().report()),
+    ("fig21", |f| fig21_noc_load_latency(f).report()),
+    ("fig22", |_| fig22_noc_power().report()),
+    ("fig23", |f| fig23_system_performance(f).report()),
+    ("fig24", |f| fig24_spec_prefetch(f).report()),
+    ("fig25", |f| fig25_traffic_patterns(f).report()),
+    ("fig26", |f| fig26_hybrid_256(f).report()),
+    ("fig27", |_| fig27_temperature_sweep().report()),
+    ("abl-bus", |_| ablation_bus_topology().report()),
+    ("abl-ways", |_| ablation_interleaving().report()),
+    ("abl-ff", |_| ablation_ff_overhead().report()),
+    ("abl-alu", |_| ablation_alu_count().report()),
+    ("abl-thick", |_| ablation_wire_thickness().report()),
+    ("abl-depth", |_| ablation_depth_sweep().report()),
+    ("abl-engine", |_| ablation_engine_comparison().report()),
+    ("abl-core-engine", |_| ablation_core_engine().report()),
+    ("abl-ipc", |_| ipc_cross_validation().report()),
+    ("abl-coherence", |_| coherence_cross_validation().report()),
+    ("cpi-sim", |_| cpi_stack_cycle_level().report()),
+    ("summary", |f| headline_summary(f).report()),
+];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -101,13 +65,14 @@ fn main() {
     match id {
         None | Some("list") => {
             println!("available experiments:");
-            for id in IDS {
+            for (id, _) in EXPERIMENTS {
                 println!("  {id}");
             }
             println!("\nusage: experiment <id> [--full] [--json]");
         }
-        Some(id) => match run(id, fidelity) {
-            Some(report) => {
+        Some(id) => match EXPERIMENTS.iter().find(|(name, _)| *name == id) {
+            Some((_, run)) => {
+                let report = run(fidelity);
                 if args.iter().any(|a| a == "--json") {
                     println!(
                         "{}",

@@ -107,7 +107,7 @@ const SWEEPS: &[SweepEntry] = &[
     },
     SweepEntry {
         name: "coherence",
-        what: "coherence engine x cache-geometry grid, one batch job per engine",
+        what: "coherence engine x cache-geometry grid, one point per engine and geometry",
         kind: SweepKind::Grid(grid_coherence),
     },
     SweepEntry {
@@ -282,6 +282,9 @@ fn parse_args() -> Args {
     }
     if args.max_split < 1 {
         die("--max-split must be at least 1");
+    }
+    if args.cycles == Some(0) {
+        die("--cycles must be at least 1");
     }
     if args.resume && args.journal.is_none() {
         die("--resume requires --journal FILE (the WAL to replay)");

@@ -5,8 +5,8 @@
 //! directory on the 64-node mesh, and Dragon (update-based) snooping on
 //! the CryoBus, each driven by sharing traces calibrated from the
 //! PARSEC/SPEC workload profiles. Every point is a *geometry grid*: the
-//! same trace under four private-cache geometries, which is the shape
-//! real sweeps take through the harness.
+//! same trace under four private-cache geometries, the geometry axis of
+//! the `coherence` sweep.
 //!
 //! Two figures come out of each point:
 //!
@@ -32,13 +32,9 @@
 //!   speeds. Machine-independent, so it carries the claim-inversion
 //!   gate.
 //!
-//! Correctness is asserted three ways while benchmarking: per-lane
-//! optimized-vs-reference bit-identity, a replay of lane 0's commit log
-//! through the hop-count reference engines (`reference-sim`), and the
-//! `coherence` sweep over the full engine × geometry grid (points
-//! grouped by the shared trace + fabric content key), which must
-//! produce the byte-identical canonical artifact of a per-point
-//! [`Sweep::run`] at 1 and N threads.
+//! Correctness is asserted two ways while benchmarking: per-lane
+//! optimized-vs-reference bit-identity, and a replay of lane 0's commit
+//! log through the hop-count reference engines (`reference-sim`).
 
 use std::time::Instant;
 
@@ -50,13 +46,10 @@ use cryowire_coherence::{
     CoherenceSystem, Protocol, RunOutcome, SnoopFabric, SystemFabric, TraceGenConfig,
 };
 use cryowire_device::Temperature;
-use cryowire_harness::Sweep;
 use cryowire_memory::MemoryDesign;
 use cryowire_noc::{CryoBus, RouterClass, RouterNetwork};
 use cryowire_system::Workload;
 use serde_json::Value;
-
-use super::{coherence_spec, coherence_sweep_artifact, SweepOptions};
 
 /// Timing repetitions per pass; the minimum wall time is reported
 /// (identical deterministic work each repetition).
@@ -241,7 +234,7 @@ fn spec(name: &str) -> Workload {
         .unwrap_or_else(|| panic!("SPEC workload {name} exists"))
 }
 
-pub(crate) fn lane_config(kind: EngineKind, geometry: CacheGeometry) -> CoherenceConfig {
+fn lane_config(kind: EngineKind, geometry: CacheGeometry) -> CoherenceConfig {
     CoherenceConfig {
         protocol: kind.protocol(),
         geometry,
@@ -309,8 +302,7 @@ fn avg_miss_ns(m: &CoherenceMetrics, clock_ghz: f64) -> f64 {
     (m.total_latency_cycles - m.hits) as f64 / m.misses.max(1) as f64 / clock_ghz
 }
 
-/// Serializes one lane outcome for the harness identity cross-check,
-/// where scalar and batched sweeps must agree byte-for-byte. Every
+/// Serializes one run outcome as a `coherence` sweep point value. Every
 /// deterministic counter plus the commit-log length goes in (the
 /// engines' own bit-identity covers the log contents).
 pub(crate) fn outcome_value(out: &RunOutcome) -> Value {
@@ -337,57 +329,24 @@ pub(crate) fn outcome_value(out: &RunOutcome) -> Value {
     ])
 }
 
-/// Asserts the batching contract at the harness layer: the `coherence`
-/// sweep ([`coherence_sweep_artifact`], one batch job per engine
-/// over the shared trace + fabric) produces the byte-identical canonical
-/// artifact of a [`Sweep::run`] that evaluates every point alone, at one
-/// worker and at several.
-fn assert_harness_identity(accesses_per_core: usize) {
-    let workload = parsec("streamcluster");
-    let trace = TraceGenConfig::from_workload(&workload, CORES, accesses_per_core, 0xC0_11E5)
-        .generate()
-        .expect("workload trace generates");
-    let scalar = Sweep::new(coherence_spec())
-        .eval_tag("coherence-grid/v1")
-        .run(|point, _| {
-            let kind = EngineKind::by_name(point.str("engine"));
-            let (system, _) = build_system(kind, geometry_by_name(point.str("geometry")));
-            let mut scratch = CoherenceScratch::new();
-            let out = system
-                .run_with(&trace, None, &mut scratch)
-                .expect("clean scalar run completes");
-            outcome_value(&out)
-        });
-    for threads in [1, 4] {
-        let batched = coherence_sweep_artifact(accesses_per_core, SweepOptions::threaded(threads));
-        assert_eq!(
-            scalar.canonical_json(),
-            batched.canonical_json(),
-            "batched artifact diverged from scalar at {threads} thread(s)"
-        );
-    }
-}
-
 /// Runs the benchmark over `grid`, one point at a time — timing is the
 /// product here, and concurrent workers contending for cores would
 /// contaminate both passes' wall clocks. Each point times the
 /// shared-scratch flat-arena pass against the per-lane reference pass
 /// over its geometry lanes, asserting full-outcome bit-identity per
 /// lane, then replays lane 0's commit log through the hop-count
-/// references; the untimed scalar-vs-batched harness identity check
-/// runs first.
+/// references.
 ///
 /// # Panics
 ///
 /// Panics if any run fails, any lane's outcome differs between the
-/// engines, the replay diverges, or the harness artifacts are not
-/// byte-identical — correctness is an invariant here, not a result.
+/// engines, or the replay diverges — correctness is an invariant here,
+/// not a result.
 #[must_use]
 pub fn bench_coherence(
     accesses_per_core: usize,
     grid: &[(EngineKind, Workload)],
 ) -> BenchCoherenceResult {
-    assert_harness_identity(accesses_per_core.min(200));
     let geometries = bench_coherence_geometries();
     let points: Vec<BenchCoherencePoint> = grid
         .iter()

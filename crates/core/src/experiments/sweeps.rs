@@ -389,9 +389,8 @@ pub fn fig21_from_artifact(artifact: &RunArtifact) -> Fig21Result {
 pub const COHERENCE_SWEEP_ACCESSES: usize = 200;
 
 /// The coherence grid: engine × private-cache geometry, every point
-/// replaying the same barrier-heavy (streamcluster) trace. Points of
-/// one engine share the trace *and* the fabric, so the harness groups
-/// them into one batch job per engine ([`coherence_sweep_artifact`]).
+/// replaying the same barrier-heavy (streamcluster) trace
+/// ([`coherence_sweep_artifact`]).
 #[must_use]
 pub fn coherence_spec() -> SweepSpec {
     SweepSpec::new("coherence-geometry")
@@ -409,18 +408,14 @@ pub fn coherence_spec() -> SweepSpec {
         )
 }
 
-/// Runs the coherence grid through the harness's batched path: points
-/// grouped by engine (the shared trace + fabric content key), each
-/// group evaluated by one [`CoherenceSystem::run_lanes`] call, which
-/// runs the group's geometry lanes one after another through a single
-/// warm [`CoherenceScratch`]. Journaling, resume, caching and supervision
-/// all apply per *point* — a lane's record is indistinguishable from a
-/// scalar evaluation, so a resumed run re-batches only the missing
-/// lanes and the canonical artifact stays byte-identical to an
-/// uninterrupted (or scalar) run at any thread count.
+/// Runs the coherence grid through the harness, one point at a time:
+/// each point builds its engine's [`CoherenceSystem`] for its geometry
+/// and replays the shared trace through a fresh [`CoherenceScratch`].
+/// Journaling, resume, caching and supervision apply per point, so the
+/// canonical artifact is byte-identical at any thread count and after
+/// any resume.
 ///
 /// [`CoherenceSystem`]: cryowire_coherence::CoherenceSystem
-/// [`CoherenceSystem::run_lanes`]: cryowire_coherence::CoherenceSystem::run_lanes
 #[must_use]
 pub fn coherence_sweep_artifact(accesses_per_core: usize, opts: SweepOptions<'_>) -> RunArtifact {
     use super::bench_coherence as bc;
@@ -434,25 +429,15 @@ pub fn coherence_sweep_artifact(accesses_per_core: usize, opts: SweepOptions<'_>
     .generate()
     .expect("workload trace generates");
     opts.build(coherence_spec(), "coherence-grid/v1", 0)
-        .run_batched(
-            |point| point.str("engine").to_string(),
-            |key, batch| {
-                let kind = bc::EngineKind::by_name(key);
-                let lanes: Vec<cryowire_coherence::CoherenceConfig> = batch
-                    .iter()
-                    .map(|(point, _)| {
-                        bc::lane_config(kind, bc::geometry_by_name(point.str("geometry")))
-                    })
-                    .collect();
-                let (system, _) = bc::build_system(kind, lanes[0].geometry);
-                let mut scratch = CoherenceScratch::new();
-                system
-                    .run_lanes(&trace, &lanes, None, &mut scratch)
-                    .iter()
-                    .map(|r| Ok(bc::outcome_value(r.as_ref().expect("clean lane completes"))))
-                    .collect()
-            },
-        )
+        .run(|point, _| {
+            let kind = bc::EngineKind::by_name(point.str("engine"));
+            let (system, _) = bc::build_system(kind, bc::geometry_by_name(point.str("geometry")));
+            let mut scratch = CoherenceScratch::new();
+            let out = system
+                .run_with(&trace, None, &mut scratch)
+                .expect("clean coherence run completes");
+            bc::outcome_value(&out)
+        })
 }
 
 // -------------------------------------------------------------- degraded
@@ -715,9 +700,9 @@ mod tests {
     }
 
     #[test]
-    fn coherence_grid_is_thread_and_batch_invariant() {
-        // 12 points, 3 batch groups. Thread counts and scalar-vs-batched
-        // evaluation must not show up in the canonical artifact.
+    fn coherence_grid_is_thread_invariant() {
+        // 12 points; the thread count must not show up in the canonical
+        // artifact.
         let accesses = 64;
         let serial = coherence_sweep_artifact(accesses, SweepOptions::serial());
         assert_eq!(serial.stats.points, 12);
@@ -728,10 +713,10 @@ mod tests {
 
     #[test]
     fn coherence_grid_matches_pinned_artifact() {
-        // Recorded from the engine-grouped evaluator that preceded
-        // per-point dispatch: the canonical artifact at 64 accesses/core
-        // must stay byte-identical. The per-point cycle counts name the
-        // diverging point when the hash moves.
+        // The canonical artifact at 64 accesses/core, recorded from the
+        // engine-grouped evaluator that per-point dispatch replaced; it
+        // must stay byte-identical. The per-point cycle counts help
+        // locate a divergence when the hash moves.
         let artifact = coherence_sweep_artifact(64, SweepOptions::serial());
         let cycles: Vec<u64> = artifact
             .points

@@ -11,8 +11,6 @@
 //! to serial ones.
 
 use parking_lot::Mutex;
-use std::collections::HashMap;
-use std::hash::Hash;
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
@@ -112,61 +110,6 @@ impl Executor {
             .map(|slot| slot.into_inner().expect("every slot filled"))
             .collect()
     }
-
-    /// Maps `f` over `items` grouped by `group_of`: items sharing a
-    /// group key are handed to `f` together (one *batch job* per
-    /// group), and the per-item results are scattered back into item
-    /// order. Groups run in parallel; grouping itself is deterministic
-    /// (first-occurrence order), so output equals a serial run at any
-    /// thread count.
-    ///
-    /// `f` must return exactly one result per member, in member order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `f` returns a result count different from the group's
-    /// member count.
-    pub fn run_grouped<I, K, T, G, F>(&self, items: &[I], group_of: G, f: F) -> Vec<T>
-    where
-        I: Sync,
-        K: Eq + Hash + Clone + Sync,
-        T: Send,
-        G: Fn(usize, &I) -> K,
-        F: Fn(&K, &[(usize, &I)]) -> Vec<T> + Sync,
-    {
-        // Group members keep enumeration order within their group, and
-        // groups keep first-occurrence order — both independent of the
-        // thread count.
-        let mut groups: Vec<(K, Vec<(usize, &I)>)> = Vec::new();
-        let mut index: HashMap<K, usize> = HashMap::new();
-        for (i, item) in items.iter().enumerate() {
-            let key = group_of(i, item);
-            let gi = *index.entry(key.clone()).or_insert_with(|| {
-                groups.push((key, Vec::new()));
-                groups.len() - 1
-            });
-            groups[gi].1.push((i, item));
-        }
-        let results = self.run(&groups, |_, (key, members)| {
-            let out = f(key, members);
-            assert_eq!(
-                out.len(),
-                members.len(),
-                "grouped evaluator must return one result per member"
-            );
-            out
-        });
-        let mut slots: Vec<Option<T>> = items.iter().map(|_| None).collect();
-        for ((_, members), values) in groups.iter().zip(results) {
-            for (&(i, _), value) in members.iter().zip(values) {
-                slots[i] = Some(value);
-            }
-        }
-        slots
-            .into_iter()
-            .map(|slot| slot.expect("every item belongs to a group"))
-            .collect()
-    }
 }
 
 impl Default for Executor {
@@ -204,35 +147,6 @@ mod tests {
         let e = Executor::new(4);
         assert!(e.run(&[] as &[u64], |_, &x| x).is_empty());
         assert_eq!(e.run(&[5u64], |i, &x| x + i as u64), vec![5]);
-    }
-
-    #[test]
-    fn grouped_results_scatter_back_to_item_order() {
-        let items: Vec<u64> = (0..37).collect();
-        let eval = |e: Executor| {
-            e.run_grouped(
-                &items,
-                |_, &x| x % 3,
-                |&k, members| {
-                    members
-                        .iter()
-                        .map(|&(i, &x)| k * 1000 + x + i as u64)
-                        .collect()
-                },
-            )
-        };
-        let serial = eval(Executor::new(1));
-        let parallel = eval(Executor::new(8));
-        assert_eq!(serial, parallel);
-        // Item 7 is in group 1 (7 % 3), at its enumeration index.
-        assert_eq!(serial[7], 1000 + 7 + 7);
-    }
-
-    #[test]
-    #[should_panic(expected = "one result per member")]
-    fn grouped_evaluator_must_cover_every_member() {
-        let items = [1u64, 2, 3];
-        let _ = Executor::new(1).run_grouped(&items, |_, _| 0u64, |_, _| vec![0u64]);
     }
 
     #[test]

@@ -10,7 +10,6 @@ use crate::spec::{Point, SweepSpec};
 use crate::supervise::{supervised, Failure, FailureClass, SupervisePolicy};
 use serde_json::Value;
 use std::collections::HashMap;
-use std::hash::Hash;
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -165,9 +164,12 @@ impl<'c> Sweep<'c> {
     ///
     /// `eval` receives the point and its deterministic seed
     /// ([`point_seed`]); it must be a pure function of those two
-    /// inputs for caching and parallel determinism to hold. This is
-    /// [`Sweep::run_batched`] with every dispatched point in a group of
-    /// its own, so both share one execution path.
+    /// inputs for caching and parallel determinism to hold. Cache hits,
+    /// journal replays and content-key duplicates are resolved before
+    /// dispatch, so `eval` only ever sees distinct, unresolved points.
+    /// Each successful point is written to the cache and then
+    /// acknowledged in the journal from inside the worker, so a
+    /// `kill -9` mid-grid finds every completed point in both.
     ///
     /// Every evaluation runs under the sweep's [`SupervisePolicy`]: a
     /// panicking evaluator is isolated to its point and classified
@@ -194,149 +196,53 @@ impl<'c> Sweep<'c> {
     where
         F: Fn(&Point, u64) -> Value + Sync,
     {
-        self.run_groups(
-            |dispatch_index, _| dispatch_index,
-            |_, batch| batch.iter().map(|&(p, seed)| Ok(eval(p, seed))).collect(),
-        )
-    }
-
-    /// Evaluates the grid in **batch jobs**: points are grouped by
-    /// `group` (e.g. the content key of the trace or fabric they share),
-    /// every group is handed to `eval_batch` as one unit, and the batch
-    /// results are split back into ordinary per-point records — the
-    /// artifact is byte-identical (canonically) to a [`Sweep::run`]
-    /// whose `eval` returns the same per-point values, at any thread
-    /// count.
-    ///
-    /// `eval_batch` receives the group key and the group's points with
-    /// their deterministic seeds (enumeration order), and must return
-    /// exactly one `Result` per point, in order. Cache hits, journal
-    /// replays and content-key duplicates are resolved *before*
-    /// grouping, so a batch job only ever computes distinct, unresolved
-    /// points. Each successful lane is written to the cache and then
-    /// acknowledged in the journal from inside the worker, so a
-    /// `kill -9` mid-grid finds every completed point in both.
-    ///
-    /// An `Err` lane lands in *that point's* record — error message and
-    /// failure class, exactly like a scalar failure — without poisoning
-    /// its siblings, which are cached and journaled normally. Lane-level
-    /// `Err`s are already-diagnosed evaluator results and are not
-    /// retried. A mismatched result count or a whole-batch panic fails
-    /// every point of the group (isolated from other groups, never
-    /// cached); panics are supervised — classified, and retried when
-    /// transient.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the spec fails [`SweepSpec::validate`] or a requested
-    /// journal cannot be opened.
-    #[must_use]
-    pub fn run_batched<G, F>(self, group: G, eval_batch: F) -> RunArtifact
-    where
-        G: Fn(&Point) -> String,
-        F: Fn(&str, &[(&Point, u64)]) -> Vec<Result<Value, Failure>> + Sync,
-    {
-        self.run_groups(
-            |_, point| group(point),
-            |key: &String, batch| eval_batch(key, batch),
-        )
-    }
-
-    /// The one execution path behind [`Sweep::run`] and
-    /// [`Sweep::run_batched`]. `group` receives a point's position in
-    /// the dispatch list and the point itself.
-    fn run_groups<K, G, F>(self, group: G, eval_batch: F) -> RunArtifact
-    where
-        K: Eq + Hash + Clone + Sync,
-        G: Fn(usize, &Point) -> K,
-        F: Fn(&K, &[(&Point, u64)]) -> Vec<Result<Value, Failure>> + Sync,
-    {
         if let Err(msg) = self.spec.validate() {
             panic!("{msg}");
         }
         let started = Instant::now();
         let points = self.spec.points();
         let mut plan = DispatchPlan::new(&points, &self.eval_tag, self.base_seed);
-        // Resolve journal replays and cache hits before grouping: a
-        // batch job must only ever compute distinct, unresolved points.
         let journal = self.open_journal(&mut plan);
         if let Some(cache) = self.cache {
             plan.probe_cache(cache);
         }
         let cancel = CancelToken::new();
         let policy = self.policy;
-        let outcomes = self.executor.run_grouped(
-            &plan.dispatch,
-            |d, &i| group(d, &points[i]),
-            |key, members| {
-                if policy.fail_fast && cancel.is_cancelled() {
-                    return members.iter().map(|_| Outcome::skipped()).collect();
+        let outcomes = self.executor.run(&plan.dispatch, |_, &i| {
+            if policy.fail_fast && cancel.is_cancelled() {
+                return Outcome::skipped();
+            }
+            let (point, seed) = (&points[i], plan.seeds[i]);
+            let t0 = Instant::now();
+            let sup = supervised(&policy, seed, || eval(point, seed));
+            let eval_ms = t0.elapsed().as_secs_f64() * 1e3;
+            match sup.result {
+                Ok(value) => {
+                    // Store, then acknowledge, inside the worker: a
+                    // `kill -9` mid-grid must find every completed point
+                    // already on disk.
+                    if let Some(cache) = self.cache {
+                        cache.insert(&plan.keys[i], &value);
+                    }
+                    if let Some(journal) = &journal {
+                        journal.append(&plan.keys[i], &value);
+                    }
+                    Outcome {
+                        value,
+                        error: None,
+                        eval_ms,
+                        attempts: sup.attempts,
+                        class: None,
+                    }
                 }
-                let t0 = Instant::now();
-                let batch: Vec<(&Point, u64)> = members
-                    .iter()
-                    .map(|&(_, &i)| (&points[i], plan.seeds[i]))
-                    .collect();
-                // The batch's supervision seed is its first member's —
-                // deterministic at any thread count (group membership
-                // and order are schedule-independent).
-                let group_seed = batch.first().map_or(0, |&(_, s)| s);
-                let sup = supervised(&policy, group_seed, || eval_batch(key, &batch));
-                let attempts = sup.attempts;
-                // Batch wall time is attributed evenly across members.
-                let eval_ms = t0.elapsed().as_secs_f64() * 1e3 / members.len() as f64;
-                let fail_all = |failure: Failure| {
+                Err(failure) => {
                     if policy.fail_fast {
                         cancel.cancel();
                     }
-                    members
-                        .iter()
-                        .map(|_| Outcome::failed(failure.clone(), eval_ms, attempts))
-                        .collect()
-                };
-                match sup.result {
-                    Ok(results) if results.len() == members.len() => members
-                        .iter()
-                        .zip(results)
-                        .map(|(&(_, &i), result)| match result {
-                            Ok(value) => {
-                                // Store, then acknowledge, inside the
-                                // worker: a `kill -9` mid-grid must find
-                                // every completed point already on disk.
-                                if let Some(cache) = self.cache {
-                                    cache.insert(&plan.keys[i], &value);
-                                }
-                                if let Some(journal) = &journal {
-                                    journal.append(&plan.keys[i], &value);
-                                }
-                                Outcome {
-                                    value,
-                                    error: None,
-                                    eval_ms,
-                                    attempts,
-                                    class: None,
-                                }
-                            }
-                            Err(failure) => {
-                                if policy.fail_fast {
-                                    cancel.cancel();
-                                }
-                                Outcome::failed(failure, eval_ms, attempts)
-                            }
-                        })
-                        .collect(),
-                    Ok(results) => fail_all(Failure::new(
-                        FailureClass::Panic,
-                        format!(
-                            "batch evaluator returned {} values for {} points",
-                            results.len(),
-                            members.len()
-                        ),
-                    )),
-                    Err(failure) => fail_all(failure),
+                    Outcome::failed(failure, eval_ms, sup.attempts)
                 }
-            },
-        );
+            }
+        });
         self.assemble(points, plan, outcomes, journal, started)
     }
 
@@ -550,8 +456,7 @@ impl DispatchPlan {
     }
 
     /// Removes dispatch entries already answered by `cache`, recording
-    /// them as hits: groups must know their full membership before any
-    /// evaluation starts.
+    /// them as hits.
     fn probe_cache(&mut self, cache: &ResultCache) {
         let keys = &self.keys;
         let hits = &mut self.hits;
@@ -803,106 +708,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_artifact_is_canonically_identical_to_scalar() {
-        let eval =
-            |p: &Point, seed: u64| Value::Float(p.f64("t") * p.i64("d") as f64 + (seed % 7) as f64);
-        let scalar = Sweep::new(spec()).eval_tag("unit/v1").run(eval);
-        for threads in [1, 4] {
-            let batched = Sweep::new(spec())
-                .eval_tag("unit/v1")
-                .threads(threads)
-                .run_batched(
-                    |p| format!("t={}", p.f64("t")),
-                    |_, batch| batch.iter().map(|&(p, seed)| Ok(eval(p, seed))).collect(),
-                );
-            assert_eq!(
-                scalar.canonical_json(),
-                batched.canonical_json(),
-                "threads={threads}"
-            );
-        }
-    }
-
-    #[test]
-    fn batched_groups_see_whole_groups_and_cache_fills() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let cache = ResultCache::new();
-        let jobs = AtomicUsize::new(0);
-        let spec4 = SweepSpec::new("b")
-            .axis("g", [1i64, 2])
-            .axis("x", [10i64, 20]);
-        let batched = Sweep::new(spec4.clone())
-            .eval_tag("b/v1")
-            .cache(&cache)
-            .threads(4)
-            .run_batched(
-                |p| p.i64("g").to_string(),
-                |_, batch| {
-                    jobs.fetch_add(1, Ordering::Relaxed);
-                    assert_eq!(batch.len(), 2, "group sees both of its points");
-                    batch
-                        .iter()
-                        .map(|&(p, _)| Ok(Value::Int(p.i64("g") * 100 + p.i64("x"))))
-                        .collect()
-                },
-            );
-        assert_eq!(jobs.load(Ordering::Relaxed), 2, "one job per group");
-        assert_eq!(batched.stats.evaluated, 4);
-        // Batch results were published to the cache: a re-run over the
-        // same grid evaluates nothing.
-        let rerun = Sweep::new(spec4)
-            .eval_tag("b/v1")
-            .cache(&cache)
-            .run_batched(
-                |p| p.i64("g").to_string(),
-                |_, _| unreachable!("all points cached"),
-            );
-        assert_eq!(rerun.stats.cache_hits, 4);
-        assert_eq!(rerun.canonical_json(), batched.canonical_json());
-    }
-
-    #[test]
-    fn batched_group_failure_is_isolated_to_the_group() {
-        let artifact = Sweep::new(
-            SweepSpec::new("b")
-                .axis("g", [1i64, 2])
-                .axis("x", [1i64, 2]),
-        )
-        .eval_tag("b/v1")
-        .run_batched(
-            |p| p.i64("g").to_string(),
-            |key, batch| {
-                assert_ne!(key, "2", "injected group failure");
-                batch
-                    .iter()
-                    .map(|&(p, _)| Ok(Value::Int(p.i64("x"))))
-                    .collect()
-            },
-        );
-        assert_eq!(artifact.stats.failed, 2, "both points of group 2");
-        assert!(!artifact.points[0].failed());
-        assert!(artifact.points[2].failed());
-        assert!(artifact.points[2]
-            .error
-            .as_deref()
-            .unwrap()
-            .contains("injected group failure"));
-    }
-
-    #[test]
-    fn batched_evaluator_result_count_mismatch_fails_the_group() {
-        let artifact = Sweep::new(SweepSpec::new("b").axis("x", [1i64, 2]))
-            .eval_tag("b/v1")
-            .run_batched(|_| "all".to_string(), |_, _| vec![Ok(Value::Int(1))]);
-        assert_eq!(artifact.stats.failed, 2);
-        assert!(artifact.points[0]
-            .error
-            .as_deref()
-            .unwrap()
-            .contains("returned 1 values for 2 points"));
-    }
-
-    #[test]
     fn seeds_are_schedule_independent() {
         let base = Sweep::new(spec()).eval_tag("unit/v1").base_seed(42);
         let a = base.run(|_, seed| Value::UInt(seed));
@@ -1078,135 +883,6 @@ mod tests {
         if let Err(payload) = result {
             std::panic::resume_unwind(payload);
         }
-    }
-
-    #[test]
-    fn batched_lane_errors_match_scalar_error_contract() {
-        // A typed error in one lane of a batch lands in that
-        // point's record exactly like a scalar failure — message,
-        // class, Null value — without poisoning its siblings.
-        let spec3 = SweepSpec::new("b").axis("x", [1i64, 2, 3]);
-        let scalar = Sweep::new(spec3.clone()).eval_tag("b/v1").run(|p, _| {
-            if p.i64("x") == 2 {
-                supervise::fail(FailureClass::Stalled, "lane 2 stalled");
-            }
-            Value::Int(p.i64("x") * 10)
-        });
-        let batched = Sweep::new(spec3).eval_tag("b/v1").threads(2).run_batched(
-            |_| "all".to_string(),
-            |_, batch| {
-                batch
-                    .iter()
-                    .map(|&(p, _)| {
-                        if p.i64("x") == 2 {
-                            Err(Failure::new(FailureClass::Stalled, "lane 2 stalled"))
-                        } else {
-                            Ok(Value::Int(p.i64("x") * 10))
-                        }
-                    })
-                    .collect()
-            },
-        );
-        assert_eq!(
-            batched.canonical_json(),
-            scalar.canonical_json(),
-            "lane error must be canonically indistinguishable from a scalar error"
-        );
-        assert_eq!(batched.stats.failed, 1, "siblings unaffected");
-        assert_eq!(batched.stats.quarantined, 1);
-        let bad = &batched.points[1];
-        assert_eq!(bad.failure_class, Some(FailureClass::Stalled));
-        assert_eq!(bad.value, Value::Null);
-        assert_eq!(batched.points[0].value, Value::Int(10));
-        assert_eq!(batched.points[2].value, Value::Int(30));
-    }
-
-    #[test]
-    fn batched_lane_errors_are_not_cached_but_siblings_are() {
-        let cache = ResultCache::new();
-        let spec2 = SweepSpec::new("b").axis("x", [1i64, 2]);
-        let first = Sweep::new(spec2.clone())
-            .eval_tag("b/v1")
-            .cache(&cache)
-            .run_batched(
-                |_| "all".to_string(),
-                |_, batch| {
-                    batch
-                        .iter()
-                        .map(|&(p, _)| {
-                            if p.i64("x") == 2 {
-                                Err(Failure::new(FailureClass::Io, "lane I/O error"))
-                            } else {
-                                Ok(Value::Int(p.i64("x")))
-                            }
-                        })
-                        .collect()
-                },
-            );
-        assert_eq!(first.stats.failed, 1);
-        // Re-run: the healthy sibling hits the cache, the failed lane
-        // re-evaluates (errors are never cached).
-        let second = Sweep::new(spec2)
-            .eval_tag("b/v1")
-            .cache(&cache)
-            .run_batched(
-                |_| "all".to_string(),
-                |_, batch| {
-                    batch
-                        .iter()
-                        .map(|&(p, _)| Ok(Value::Int(p.i64("x"))))
-                        .collect()
-                },
-            );
-        assert_eq!(second.stats.cache_hits, 1);
-        assert_eq!(second.stats.evaluated, 1);
-        assert_eq!(second.stats.failed, 0);
-    }
-
-    #[test]
-    fn batched_journal_resume_skips_acknowledged_groups() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let path = tmp("batched");
-        let _ = std::fs::remove_file(&path);
-        let spec4 = SweepSpec::new("b")
-            .axis("g", [1i64, 2])
-            .axis("x", [1i64, 2]);
-        let eval = |p: &Point| Value::Int(p.i64("g") * 100 + p.i64("x"));
-        let reference = Sweep::new(spec4.clone()).eval_tag("b/v1").run_batched(
-            |p| p.i64("g").to_string(),
-            |_, batch| batch.iter().map(|&(p, _)| Ok(eval(p))).collect(),
-        );
-        // First run: group 2 fails — only group 1's lanes are
-        // journaled.
-        let _ = Sweep::new(spec4.clone())
-            .eval_tag("b/v1")
-            .journal(&path)
-            .run_batched(
-                |p| p.i64("g").to_string(),
-                |key, batch| {
-                    assert_ne!(key, "2", "simulated crash");
-                    batch.iter().map(|&(p, _)| Ok(eval(p))).collect()
-                },
-            );
-        let jobs = AtomicUsize::new(0);
-        let resumed = Sweep::new(spec4)
-            .eval_tag("b/v1")
-            .resume(&path)
-            .run_batched(
-                |p| p.i64("g").to_string(),
-                |_, batch| {
-                    jobs.fetch_add(1, Ordering::Relaxed);
-                    batch.iter().map(|&(p, _)| Ok(eval(p))).collect()
-                },
-            );
-        assert_eq!(
-            jobs.load(Ordering::Relaxed),
-            1,
-            "only the failed group re-runs"
-        );
-        assert_eq!(resumed.stats.resumed, 2);
-        assert_eq!(resumed.canonical_json(), reference.canonical_json());
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -338,6 +338,33 @@ mod chaos {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// `--cycles 0` is a usage error (exit 1, nothing written) in every
+    /// mode that reads it, not a panic or a zero-length benchmark.
+    #[test]
+    fn zero_cycles_is_rejected_before_any_work() {
+        let dir = unique_dir("zerocycles");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        for mode in ["coherence", "bench-coherence", "bench-core", "bench-noc"] {
+            let out = dir.join(format!("{mode}.json"));
+            let run = sweep()
+                .args(["--sweep", mode, "--smoke", "--cycles", "0"])
+                .arg("--out")
+                .arg(&out)
+                .stderr(Stdio::piped())
+                .output()
+                .expect("zero-cycles run");
+            assert_eq!(run.status.code(), Some(1), "{mode}: usage error exits 1");
+            let stderr = String::from_utf8_lossy(&run.stderr);
+            assert!(
+                stderr.contains("--cycles must be at least 1"),
+                "{mode}: {stderr}"
+            );
+            assert!(!out.exists(), "{mode}: nothing written");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     /// A wedged evaluator is converted into a typed timeout by the
     /// cooperative deadline and quarantined.
     #[test]
