@@ -365,6 +365,31 @@ mod chaos {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// `experiment` takes one id, `--full` and `--json`; anything else is
+    /// a usage error (exit 2, nothing run), and an unknown id exits 1.
+    #[test]
+    fn experiment_rejects_bad_arguments() {
+        let run = |args: &[&str]| {
+            Command::new(env!("CARGO_BIN_EXE_experiment"))
+                .args(args)
+                .output()
+                .expect("experiment runs")
+        };
+        for args in [
+            &["tab4", "--ful"][..],
+            &["tab4", "--threads", "4"],
+            &["fig2", "fig3"],
+        ] {
+            let out = run(args);
+            assert_eq!(out.status.code(), Some(2), "{args:?}: usage error");
+            assert!(out.stdout.is_empty(), "{args:?}: nothing run");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(stderr.contains("usage: experiment"), "{args:?}: {stderr}");
+        }
+        assert_eq!(run(&["nosuch"]).status.code(), Some(1), "unknown id");
+        assert_eq!(run(&["tab4", "--full", "--json"]).status.code(), Some(0));
+    }
+
     /// A wedged evaluator is converted into a typed timeout by the
     /// cooperative deadline and quarantined.
     #[test]
