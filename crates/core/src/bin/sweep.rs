@@ -31,7 +31,7 @@
 //! cooperative deadline respectively.
 //!
 //! The `bench-*` modes are throughput benchmarks, not point sweeps;
-//! each writes its `BENCH_*.json` in the shared `cryowire-bench`
+//! each writes its `BENCH_*.json` in the shared `cryowire::bench`
 //! schema and gates CI on the *relative* `overall_speedup` with
 //! `--baseline FILE` (exit 1 on a >25 % regression — relative, so the
 //! gate holds across machines of different absolute speed):
@@ -376,8 +376,8 @@ fn grid_coherence(args: &Args, opts: SweepOptions) -> RunArtifact {
 /// The shared tail of every bench mode: emit the document, apply the
 /// `--baseline` gate, exit 0. Never returns.
 fn finish_bench(args: &Args, mode: &str, noun: &str, json: &Value, overall: f64) -> ! {
-    cryowire_bench::emit(mode, json, args.out.as_deref()).unwrap_or_else(|e| die(&e));
-    cryowire_bench::baseline_gate(mode, noun, overall, args.baseline.as_deref())
+    cryowire::bench::emit(mode, json, args.out.as_deref()).unwrap_or_else(|e| die(&e));
+    cryowire::bench::baseline_gate(mode, noun, overall, args.baseline.as_deref())
         .unwrap_or_else(|e| die(&e));
     std::process::exit(0);
 }
@@ -496,7 +496,7 @@ fn run_bench_coherence(args: &Args) -> ! {
     );
     // The machine-independent paper claim gates on inversion directly;
     // the engine speedup is what `--baseline` tracks.
-    cryowire_bench::claim_gate(
+    cryowire::bench::claim_gate(
         "bench-coherence",
         "barrier-heavy sharing must be cheaper \
          on CryoBus snooping than the mesh directory",

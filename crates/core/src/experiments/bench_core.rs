@@ -14,7 +14,7 @@
 
 use std::time::Instant;
 
-use cryowire_bench::{bench_value, speedup_stats};
+use crate::bench::{bench_value, speedup_stats};
 use cryowire_ooo::core::reference::ReferenceCoreSimulator;
 use cryowire_ooo::{CoreConfig, CoreScratch, CoreSimulator, TraceArena, TraceConfig};
 use serde_json::Value;
@@ -173,9 +173,9 @@ pub fn bench_core(insts: usize, seed: u64, grid: &[(String, CoreConfig)]) -> Ben
 }
 
 /// Serializes a run as the `BENCH_core.json` value, in the shared
-/// [`cryowire_bench::bench_value`] schema. The gating figure lives
+/// [`crate::bench::bench_value`] schema. The gating figure lives
 /// under the same `overall_speedup` key as `BENCH_noc.json`, so
-/// [`speedup_from_json`](super::speedup_from_json) reads both.
+/// [`speedup_from_json`](crate::bench::speedup_from_json) reads both.
 #[must_use]
 pub fn bench_core_json(result: &BenchCoreResult) -> Value {
     bench_value(
@@ -184,7 +184,7 @@ pub fn bench_core_json(result: &BenchCoreResult) -> Value {
             ("insts".into(), Value::UInt(result.insts as u64)),
             ("seed".into(), Value::UInt(result.seed)),
         ],
-        cryowire_bench::SpeedupStats {
+        crate::bench::SpeedupStats {
             min: result.min_speedup,
             geomean: result.geomean_speedup,
             overall: result.overall_speedup,
@@ -230,8 +230,8 @@ pub fn bench_core_json(result: &BenchCoreResult) -> Value {
 
 #[cfg(test)]
 mod tests {
-    use super::super::speedup_from_json;
     use super::*;
+    use crate::bench::speedup_from_json;
 
     #[test]
     fn smoke_run_beats_reference_and_round_trips() {

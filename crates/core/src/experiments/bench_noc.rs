@@ -12,7 +12,7 @@
 
 use std::time::Instant;
 
-use cryowire_bench::{bench_value, speedup_stats};
+use crate::bench::{bench_value, speedup_stats};
 use cryowire_device::Temperature;
 use cryowire_faults::FaultSchedule;
 use cryowire_noc::sim::reference::ReferenceSimulator;
@@ -199,7 +199,7 @@ pub fn bench_noc(
 }
 
 /// Serializes a run as the `BENCH_noc.json` value, in the shared
-/// [`cryowire_bench::bench_value`] schema.
+/// [`crate::bench::bench_value`] schema.
 #[must_use]
 pub fn bench_noc_json(result: &BenchNocResult) -> Value {
     bench_value(
@@ -208,7 +208,7 @@ pub fn bench_noc_json(result: &BenchNocResult) -> Value {
             ("cycles".into(), Value::UInt(result.cycles)),
             ("warmup".into(), Value::UInt(result.warmup)),
         ],
-        cryowire_bench::SpeedupStats {
+        crate::bench::SpeedupStats {
             min: result.min_speedup,
             geomean: result.geomean_speedup,
             overall: result.overall_speedup,
@@ -247,7 +247,7 @@ pub fn bench_noc_json(result: &BenchNocResult) -> Value {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cryowire_bench::speedup_from_json;
+    use crate::bench::speedup_from_json;
 
     #[test]
     fn smoke_run_beats_reference_and_round_trips() {

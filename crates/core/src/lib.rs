@@ -39,6 +39,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+pub mod bench;
 pub mod experiments;
 pub mod report;
 
