@@ -6,8 +6,7 @@
 //! `line / sets` on every lookup and one tag-match scan per call) —
 //! exactly the code the flat-arena hot loops replaced.
 //!
-//! These exist for two jobs and are compiled only for them
-//! (`cfg(any(test, feature = "reference-sim"))`):
+//! These exist for two jobs:
 //!
 //! 1. **Bit-identity oracle** — the equivalence suites assert the
 //!    optimized engines produce [`RunOutcome`]s identical to these,

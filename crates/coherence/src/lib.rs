@@ -24,28 +24,24 @@
 //!   routes trip a progress watchdog into a typed
 //!   [`CoherenceError::Stalled`] instead of a hang.
 //!
-//! Correctness is anchored to the hop-count reference engines: with the
-//! `reference-sim` feature, every run's serialization-order commit log
-//! replays through `SnoopingMesi`/`DirectoryMesi` and must reproduce
-//! identical data versions (see [`reference`]).
+//! Correctness is anchored to the hop-count reference engines: every
+//! run's serialization-order commit log replays through
+//! `SnoopingMesi`/`DirectoryMesi` and must reproduce identical data
+//! versions (see [`reference`]).
 
 #![warn(missing_docs)]
 
+pub mod baseline;
 pub mod cache;
 pub mod directory;
 pub mod engine;
 pub mod error;
 pub mod metrics;
-#[cfg(feature = "reference-sim")]
 pub mod reference;
 pub mod snoop;
 pub mod timing;
 pub mod trace;
 
-#[cfg(any(test, feature = "reference-sim"))]
-pub mod baseline;
-
-#[cfg(any(test, feature = "reference-sim"))]
 pub use baseline::{verify_invariants, BaselineScratch};
 pub use cache::{CacheGeometry, LineState, PrivateCache};
 pub use directory::DirectoryEngine;

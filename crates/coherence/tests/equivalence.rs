@@ -1,4 +1,4 @@
-//! Equivalence with the hop-count reference engines (`reference-sim`).
+//! Equivalence with the hop-count reference engines.
 //!
 //! The contract: the cycle-level engines may *reorder* accesses through
 //! arbitration, MSHRs, and delayed completions, but once the

@@ -629,13 +629,11 @@ impl Default for Simulator {
     }
 }
 
-#[cfg(any(test, feature = "reference-sim"))]
 pub mod reference {
     //! The naive per-packet-allocation engine, retained verbatim as the
     //! correctness oracle for the memoized hot loop (and as the baseline
     //! the `noc_hot_loop` bench and `BENCH_noc.json` speedups are
-    //! measured against). Behind `feature = "reference-sim"` outside
-    //! tests so release binaries of downstream crates opt in explicitly.
+    //! measured against).
     //!
     //! The only differences from the historical code are the two audited
     //! bugfixes, applied to **both** engines so they stay bit-identical:

@@ -346,10 +346,8 @@ impl CoreSimulator {
 
 /// The retained naive engine: full-trace scoreboards, one `Vec<u64>` per
 /// timestamp series, exactly as the simulator shipped before the
-/// ring-buffer rework. Compiled under `cfg(test)` or the
-/// `reference-sim` feature; the equivalence suite and the `bench-core`
+/// ring-buffer rework. The equivalence suite and the `bench-core`
 /// emitter assert the optimized engine reproduces it bit-for-bit.
-#[cfg(any(test, feature = "reference-sim"))]
 pub mod reference {
     use super::{validate_config, AddressModel, CacheHierarchy, CoreConfig, CoreMetrics};
     use crate::predictor::{OverridingPredictor, PredictOutcome};
